@@ -24,14 +24,14 @@ int main() {
     config.seed = 1;
     core::SluggerResult r = core::Summarize(g, config);
 
-    summary::NeighborQuery query(r.summary);
+    summary::QueryScratch scratch;
     Rng rng(3);
     const uint32_t probes = 20000;
     uint64_t touched = 0;
     WallTimer timer;
     for (uint32_t i = 0; i < probes; ++i) {
       NodeId u = static_cast<NodeId>(rng.Below(g.num_nodes()));
-      touched += query.Neighbors(u).size();
+      touched += summary::QueryNeighbors(r.summary, u, &scratch).size();
     }
     double us = timer.Micros() / probes;
     (void)touched;

@@ -76,7 +76,8 @@ BENCHMARK(BM_MemoSolveHit);
 void BM_SavingEvaluation(benchmark::State& state) {
   const graph::Graph& g = BenchGraph();
   core::SluggerState st(g);
-  core::MergePlanner planner(&st);
+  core::MemoTable memo;
+  core::MergePlanner planner(&st, &memo);
   core::MergePlan plan;
   uint32_t i = 0;
   const auto& roots = st.roots();
@@ -109,10 +110,11 @@ void BM_NeighborQuery(benchmark::State& state) {
   config.iterations = 10;
   static core::SluggerResult* result =
       new core::SluggerResult(core::Summarize(g, config));
-  summary::NeighborQuery query(result->summary);
+  summary::QueryScratch scratch;
   uint32_t u = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(query.Neighbors(u % g.num_nodes()));
+    benchmark::DoNotOptimize(
+        summary::QueryNeighbors(result->summary, u % g.num_nodes(), &scratch));
     ++u;
   }
 }

@@ -1,11 +1,11 @@
-// Thread-scaling benchmark of the parallel merge engine (ISSUE 1).
+// Thread-scaling benchmark of the merge engines.
 //
 // Runs SLUGGER on an RMAT graph with a sweep of worker counts and reports
-// merge-phase and candidate-generation wall time per count, for both the
-// deterministic round-based engine and (at the largest count) the async
-// work-stealing engine. Every run is verified lossless. Results go to
-// stdout as a table and to BENCH_threads.json as a single machine-readable
-// JSON object for the perf trajectory.
+// merge-phase and candidate-generation wall time per count: one thread
+// runs the sequential engine, more run the round-based engine. Every run
+// is verified lossless. Results go to stdout as a table and to
+// BENCH_threads.json as a single machine-readable JSON object for the
+// perf trajectory.
 //
 // Env knobs:
 //   SLUGGER_BENCH_THREADS_SCALE  RMAT scale (default 14 -> 16384 nodes)
@@ -30,7 +30,6 @@ using slugger::bench::ThreadList;
 
 struct Run {
   uint32_t threads;
-  bool deterministic;
   double merge_seconds;
   double candidate_seconds;
   double prune_seconds;
@@ -52,7 +51,7 @@ int main() {
       static_cast<uint32_t>(EnvU64("SLUGGER_BENCH_THREADS_ITERS", 20));
   std::vector<uint32_t> threads = ThreadList();
 
-  std::printf("=== thread scaling (parallel merge engine) ===\n");
+  std::printf("=== thread scaling (merge engines) ===\n");
   std::printf("rmat scale=%u nodes=%llu edges=%llu iterations=%u\n\n", scale,
               static_cast<unsigned long long>(num_nodes),
               static_cast<unsigned long long>(edges), iterations);
@@ -60,16 +59,14 @@ int main() {
   graph::Graph g = gen::RMat(scale, edges, 0.57, 0.19, 0.19, /*seed=*/7);
 
   std::vector<Run> runs;
-  auto run_once = [&](uint32_t t, bool deterministic) {
+  for (uint32_t t : threads) {
     core::SluggerConfig config;
     config.iterations = iterations;
     config.seed = 7;
     config.num_threads = t;
-    config.deterministic = deterministic;
     core::SluggerResult r = core::Summarize(g, config);
     Run run;
     run.threads = t;
-    run.deterministic = deterministic;
     run.merge_seconds = r.merge_seconds;
     run.candidate_seconds = r.candidate_seconds;
     run.prune_seconds = r.prune_seconds;
@@ -78,27 +75,21 @@ int main() {
     run.lossless = summary::VerifyLossless(g, r.summary).ok();
     runs.push_back(run);
     std::printf(
-        "threads=%-2u %-13s merge=%8.3fs  candidates=%7.3fs  prune=%6.3fs  "
+        "threads=%-2u merge=%8.3fs  candidates=%7.3fs  prune=%6.3fs  "
         "cost=%llu  lossless=%s\n",
-        t, deterministic ? "deterministic" : "async", run.merge_seconds,
-        run.candidate_seconds, run.prune_seconds,
+        t, run.merge_seconds, run.candidate_seconds, run.prune_seconds,
         static_cast<unsigned long long>(run.cost),
         run.lossless ? "yes" : "NO");
-  };
-
-  for (uint32_t t : threads) run_once(t, /*deterministic=*/true);
-  uint32_t max_threads = threads.back();
-  if (max_threads > 1) run_once(max_threads, /*deterministic=*/false);
+  }
 
   const Run* baseline = nullptr;
   for (const Run& r : runs) {
-    if (r.threads == 1 && r.deterministic) baseline = &r;
+    if (r.threads == 1) baseline = &r;
   }
   if (baseline != nullptr) {
     std::printf("\nspeedup vs 1 thread (merge phase):\n");
     for (const Run& r : runs) {
-      std::printf("  threads=%-2u %-13s %.2fx\n", r.threads,
-                  r.deterministic ? "deterministic" : "async",
+      std::printf("  threads=%-2u %.2fx\n", r.threads,
                   r.merge_seconds > 0
                       ? baseline->merge_seconds / r.merge_seconds
                       : 0.0);
@@ -119,12 +110,11 @@ int main() {
     const Run& r = runs[i];
     char buf[256];
     std::snprintf(buf, sizeof(buf),
-                  "%s{\"threads\":%u,\"deterministic\":%s,"
+                  "%s{\"threads\":%u,"
                   "\"merge_seconds\":%.6f,\"candidate_seconds\":%.6f,"
                   "\"prune_seconds\":%.6f,\"cost\":%llu,\"merges\":%llu,"
                   "\"lossless\":%s}",
-                  i == 0 ? "" : ",", r.threads,
-                  r.deterministic ? "true" : "false", r.merge_seconds,
+                  i == 0 ? "" : ",", r.threads, r.merge_seconds,
                   r.candidate_seconds, r.prune_seconds,
                   static_cast<unsigned long long>(r.cost),
                   static_cast<unsigned long long>(r.merges),

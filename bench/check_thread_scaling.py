@@ -2,8 +2,8 @@
 """CI smoke gate for thread-scaling regressions.
 
 Reads the JSON emitted by bench_threads (BENCH_threads.json) and fails when
-the merge-phase speedup of the deterministic engine at a given thread count
-over the 1-thread run drops below a threshold. Meant for smoke-scale CI
+the merge-phase speedup at a given thread count (the round-based engine)
+over the 1-thread run (the sequential engine) drops below a threshold. Meant for smoke-scale CI
 runs, so the default threshold (1.3x at 4 threads) leaves ample headroom
 over the ~3x seen on dedicated hardware.
 
@@ -42,11 +42,11 @@ def main() -> int:
         return 2
 
     runs = report.get("runs", [])
-    deterministic = {r["threads"]: r for r in runs if r.get("deterministic")}
-    base = deterministic.get(1)
-    gated = deterministic.get(args.threads)
+    by_threads = {r["threads"]: r for r in runs}
+    base = by_threads.get(1)
+    gated = by_threads.get(args.threads)
     if base is None or gated is None:
-        print(f"error: need deterministic runs at 1 and {args.threads} "
+        print(f"error: need runs at 1 and {args.threads} "
               f"threads in {args.report}", file=sys.stderr)
         return 2
 

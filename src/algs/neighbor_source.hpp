@@ -25,26 +25,7 @@ class RawSource {
   const graph::Graph* g_;
 };
 
-/// Adapter over a summary: neighbors are decompressed on the fly
-/// (Algorithm 4), never materializing the whole graph. Built on the
-/// QueryScratch split: the summary stays shared and immutable, all
-/// mutable query state lives in this instance — several threads may run
-/// algorithms over one summary concurrently, one SummarySource each.
-class SummarySource {
- public:
-  explicit SummarySource(const summary::SummaryGraph& s) : s_(&s) {}
-  NodeId num_nodes() const { return s_->num_leaves(); }
-  std::span<const NodeId> Neighbors(NodeId u) {
-    const std::vector<NodeId>& v = summary::QueryNeighbors(*s_, u, &scratch_);
-    return {v.data(), v.size()};
-  }
-
- private:
-  const summary::SummaryGraph* s_;
-  summary::QueryScratch scratch_;
-};
-
-/// Batch-aware adapter: materializes the whole adjacency up front
+/// Adapter over a summary: materializes the whole adjacency up front
 /// through QueryNeighborsBatch — the hierarchy-locality walk pays one
 /// coverage application per shared ancestor chain instead of one full
 /// Algorithm-4 pass per node — then serves Neighbors(u) as O(1) span
@@ -53,9 +34,9 @@ class SummarySource {
 ///
 /// The right source for multi-pass analytics (PageRank's T sweeps, BFS
 /// frontiers that revisit hubs): one amortized sweep, then every pass is
-/// pure array reads. For a single pass over few nodes, SummarySource's
-/// lazy decompression costs less. Thread-safe after construction (all
-/// members are immutable; Neighbors is const).
+/// pure array reads. For a single pass over few nodes, calling
+/// summary::QueryNeighbors with a QueryScratch costs less. Thread-safe
+/// after construction (all members are immutable; Neighbors is const).
 class BatchedSummarySource {
  public:
   explicit BatchedSummarySource(const summary::SummaryGraph& s,

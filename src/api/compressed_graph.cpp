@@ -3,15 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <numeric>
-#include <string>
 #include <utility>
 
 #include "algs/summary_ops.hpp"
 #include "obs/metrics.hpp"
 #include "storage/paged_source.hpp"
-#include "storage/storage.hpp"
 #include "summary/decode.hpp"
-#include "summary/serialize.hpp"
 #include "summary/verify.hpp"
 #include "util/sync.hpp"
 #include "util/thread_pool.hpp"
@@ -499,32 +496,6 @@ Status CompressedGraph::Verify(const graph::Graph& expected,
   Status ready = Materialize();
   if (!ready.ok()) return ready;
   return summary::VerifyLossless(expected, ActiveSummary(), pool);
-}
-
-Status CompressedGraph::Save(const std::string& path) const {
-  storage::SaveOptions options;
-  options.format = storage::Format::kMonolithicV1;
-  return storage::Save(*this, path, options);
-}
-
-StatusOr<CompressedGraph> CompressedGraph::Load(const std::string& path) {
-  storage::OpenOptions options;
-  options.mode = storage::OpenOptions::Mode::kInMemory;
-  return storage::Open(path, options);
-}
-
-std::string CompressedGraph::Serialize() const {
-  storage::SaveOptions options;
-  options.format = storage::Format::kMonolithicV1;
-  StatusOr<std::string> bytes = storage::Serialize(*this, options);
-  return bytes.ok() ? std::move(bytes).value() : std::string();
-}
-
-StatusOr<CompressedGraph> CompressedGraph::Deserialize(
-    const std::string& buffer) {
-  storage::OpenOptions options;
-  options.mode = storage::OpenOptions::Mode::kInMemory;
-  return storage::OpenBuffer(buffer, options);
 }
 
 }  // namespace slugger

@@ -13,8 +13,7 @@
 //     caller sees the Status.
 //
 // Persistence lives in storage/storage.hpp (slugger::storage::Open /
-// Save); the Save/Load/Serialize/Deserialize members below are
-// deprecated wrappers kept for source compatibility.
+// Save / Serialize / OpenBuffer).
 //
 // Thread-safety contract: after construction the summary is immutable.
 // All const members are safe to call from any number of threads
@@ -29,7 +28,6 @@
 
 #include <memory>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -190,22 +188,6 @@ class CompressedGraph {
 
   /// Checks that this summary losslessly represents `expected`.
   Status Verify(const graph::Graph& expected, ThreadPool* pool = nullptr) const;
-
-  /// Deprecated persistence surface — thin wrappers over
-  /// slugger::storage. Save/Serialize keep writing the v1 monolithic
-  /// format byte-for-byte; Load/Deserialize read both formats but always
-  /// materialize. New code should use storage::Open / storage::Save,
-  /// which add the paged v2 format and out-of-core opens.
-  [[deprecated("use slugger::storage::Save")]] Status Save(
-      const std::string& path) const;
-  [[deprecated("use slugger::storage::Open")]] static StatusOr<
-      CompressedGraph>
-  Load(const std::string& path);
-  [[deprecated("use slugger::storage::Serialize")]] std::string Serialize()
-      const;
-  [[deprecated("use slugger::storage::OpenBuffer")]] static StatusOr<
-      CompressedGraph>
-  Deserialize(const std::string& buffer);
 
   /// Read-only access to the internal layer, for advanced consumers
   /// (summary-level algorithms in algs/, hierarchy introspection). The

@@ -71,10 +71,6 @@ Status EngineOptions::Validate() const {
         "two supernodes to propose a merge); got " +
         std::to_string(config.max_group_size));
   }
-  if (config.engine > MergeEngine::kAsync) {
-    return Status::InvalidArgument(
-        "engine is not one of kAuto/kSequential/kRoundBased/kAsync");
-  }
   return Status::OK();
 }
 
@@ -87,10 +83,7 @@ Engine::Engine(EngineOptions options)
                                : config.num_threads;
   // Same condition core::Summarize uses to build its own pool; creating it
   // here once amortizes thread startup across every run of this Engine.
-  if (threads > 1 ||
-      core::ResolveEngine(config, threads) != MergeEngine::kSequential) {
-    pool_.emplace(threads);
-  }
+  if (threads > 1) pool_.emplace(threads);
 }
 
 StatusOr<CompressedGraph> Engine::Summarize(const graph::Graph& g,

@@ -6,8 +6,8 @@
 // thread startup/teardown), validates every option up front (Status
 // instead of asserts or silent UB), and plumbs per-run hooks — a
 // per-iteration ProgressObserver and a cooperative CancelToken — through
-// all three merge engines. A cancelled run is not an error: it returns
-// the lossless best-so-far CompressedGraph.
+// both merge engines. A cancelled run is not an error: it returns the
+// lossless best-so-far CompressedGraph.
 //
 // Thread-safety: Summarize() is NOT reentrant — one run at a time per
 // Engine (a service wanting parallel compression jobs holds one Engine
@@ -41,17 +41,15 @@ namespace slugger {
 /// headers directly.
 using ProgressEvent = core::ProgressEvent;
 using ProgressObserver = core::ProgressObserver;
-using MergeEngine = core::MergeEngine;
 
 /// Engine-lifetime configuration: the algorithm knobs plus validation.
 struct EngineOptions {
-  /// Algorithm knobs (iterations, seed, group size, engine, threads...).
+  /// Algorithm knobs (iterations, seed, group size, threads...).
   core::SluggerConfig config;
 
   /// InvalidArgument on any knob the algorithms cannot honor — values
   /// that today would fail asserts or silently misbehave deep inside the
-  /// core layer (iterations == 0, max_group_size < 2, an out-of-range
-  /// engine enum). OK otherwise.
+  /// core layer (iterations == 0, max_group_size < 2). OK otherwise.
   Status Validate() const;
 };
 
@@ -63,7 +61,7 @@ struct RunOptions {
   ProgressObserver progress;
 
   /// Cooperative cancellation, polled at iteration, merge, round, and
-  /// pruning-round boundaries in every merge engine. When fired the run
+  /// pruning-round boundaries in both merge engines. When fired the run
   /// returns early with the lossless best-so-far summary (Status OK).
   const CancelToken* cancel = nullptr;
 };
@@ -82,8 +80,8 @@ class Engine {
   /// The validation verdict of the construction-time options.
   const Status& status() const { return options_status_; }
 
-  /// Effective worker count of the persistent pool (1 when the
-  /// configuration never needs one).
+  /// Effective worker count of the persistent pool (1 when the Engine
+  /// runs on one thread and so has no pool).
   unsigned num_threads() const { return pool_ ? pool_->size() : 1; }
 
   /// Runs SLUGGER on g over the persistent pool. InvalidArgument when the

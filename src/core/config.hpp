@@ -6,23 +6,6 @@
 
 namespace slugger::core {
 
-/// Which merge-phase engine Summarize runs.
-enum class MergeEngine : uint8_t {
-  /// Historical dispatch: sequential at 1 effective thread, otherwise the
-  /// round-based engine when `deterministic` is set, else the async one.
-  kAuto = 0,
-  /// The original single-threaded control flow (one planner, one RNG
-  /// stream). With num_threads > 1 the pool still accelerates candidate
-  /// generation and pruning; the merge loop itself stays sequential.
-  kSequential,
-  /// Round-based evaluate-parallel / commit-serial engine. Byte-identical
-  /// output at EVERY thread count, including 1.
-  kRoundBased,
-  /// Async work-stealing engine with sharded commit locks. Lossless for
-  /// every schedule, but the summary depends on commit interleaving.
-  kAsync,
-};
-
 /// Tuning knobs; defaults follow the paper's experimental settings (§IV-A).
 struct SluggerConfig {
   /// Number of candidate-generation + merging iterations T (paper: 20).
@@ -47,36 +30,13 @@ struct SluggerConfig {
   bool prune_step2 = true;
   bool prune_step3 = true;
 
-  /// Worker threads for the merge engine and the shingle pass. 1 runs the
-  /// original sequential path; 0 uses all hardware threads.
+  /// Worker threads; the count alone picks the merge engine. 1 runs the
+  /// sequential engine (the original control flow: one planner, one RNG
+  /// stream). 2 or more run the round-based evaluate-parallel /
+  /// commit-serial engine, whose output is byte-identical at every such
+  /// count, and also run candidate generation and pruning on the pool.
+  /// 0 uses all hardware threads.
   uint32_t num_threads = 1;
-
-  /// Parallel engine flavor under MergeEngine::kAuto (ignored when the
-  /// effective thread count is 1, which kAuto maps to the historical
-  /// sequential path).
-  /// true: round-based evaluate-parallel / commit-serial engine whose
-  /// output is byte-identical across runs and across every thread
-  /// count >= 2 (the sequential path explores merges in a different,
-  /// equally deterministic order).
-  /// false: async work-stealing engine — groups run to completion without
-  /// barriers (commits take hash-sharded per-supernode locks, so commits
-  /// on disjoint neighborhoods apply concurrently and are revalidated),
-  /// still lossless, but the summary depends on scheduling.
-  bool deterministic = true;
-
-  /// Explicit engine selection; kAuto preserves the historical dispatch
-  /// described on `deterministic`. Setting kRoundBased pins the
-  /// deterministic parallel engine even at num_threads == 1, which makes
-  /// the serialized output byte-identical across ALL thread counts.
-  MergeEngine engine = MergeEngine::kAuto;
-
-  /// Run the pruning step (§III-B4) on the thread pool when one exists
-  /// (num_threads > 1, or a parallel engine pinned via `engine`). The
-  /// parallel pruning path is deterministic and thread-count invariant:
-  /// substeps evaluate in parallel against a frozen state and apply
-  /// serially in a fixed order (substep 2 therefore dissolves roots in
-  /// sorted-id rounds rather than the sequential path's stack order).
-  bool parallel_pruning = true;
 
   /// Debug: validate state aggregates after every iteration (slow); the
   /// verdict lands in SluggerResult::aggregates_valid.

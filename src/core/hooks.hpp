@@ -39,15 +39,16 @@ using ProgressObserver = std::function<void(const ProgressEvent&)>;
 struct SummarizeHooks {
   ProgressObserver progress;
 
-  /// Polled at iteration boundaries, between merges inside every engine
-  /// (sequential groups, round-based rounds, async group loops), and at
-  /// pruning-round boundaries. When fired, the run stops early and
-  /// returns the best-so-far summary, which is still lossless.
+  /// Polled at iteration boundaries, between merges inside both engines
+  /// (sequential merges, round-based rounds), and at pruning-round
+  /// boundaries. When fired, the run stops early and returns the
+  /// best-so-far summary, which is still lossless.
   const CancelToken* cancel = nullptr;
 
   /// Externally owned worker pool reused across runs; its size overrides
-  /// config.num_threads. Null: Summarize creates (and tears down) its own
-  /// pool as before.
+  /// config.num_threads (a pool of size 1 runs the sequential engine and
+  /// goes unused). Null: Summarize creates (and tears down) its own pool
+  /// when it runs on more than one thread.
   ThreadPool* pool = nullptr;
 };
 

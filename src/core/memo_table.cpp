@@ -4,12 +4,6 @@
 
 namespace slugger::core {
 
-MemoTable& MemoTable::Global() {
-  // lint:allow(naked-new: intentionally leaked singleton, no exit-order dtor)
-  static MemoTable* instance = new MemoTable();
-  return *instance;
-}
-
 uint64_t MemoTable::PackKey(const Universe& universe, const int8_t* target) {
   // 3 bits per class (supports targets in [-3, 3]), up to 10 classes ->
   // 30 bits, plus the universe code above them.

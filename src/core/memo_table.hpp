@@ -1,10 +1,11 @@
-// Global memoization of optimal local encodings (paper §III-B3).
+// Memoization of optimal local encodings (paper §III-B3).
 //
 // The best output encoding for a (universe shape, class target) pair is
-// independent of the input graph, so solutions are memoized process-wide
-// and even shared across different graphs, exactly as the paper describes.
-// WarmUp() eagerly enumerates every {0,1} target of every shape (the cases
-// SLUGGER's own invariant produces); anything else is solved lazily.
+// independent of the input graph, so solutions are memoized and reused
+// across every merge a run evaluates. The table is not thread-safe: each
+// merge-engine thread owns one. WarmUp() eagerly enumerates every {0,1}
+// target of every shape (the cases SLUGGER's own invariant produces);
+// anything else is solved lazily.
 #ifndef SLUGGER_CORE_MEMO_TABLE_HPP_
 #define SLUGGER_CORE_MEMO_TABLE_HPP_
 
@@ -17,11 +18,9 @@
 
 namespace slugger::core {
 
-/// Process-wide cache: (universe code, packed target) -> optimal encoding.
+/// Cache: (universe code, packed target) -> optimal encoding.
 class MemoTable {
  public:
-  static MemoTable& Global();
-
   /// Returns the memoized optimal encoding, solving on first use.
   /// Entries of `target` on inactive classes are ignored.
   const SolvedEncoding& Solve(const Universe& universe, const int8_t* target);

@@ -58,16 +58,14 @@ struct MergePlan {
 /// state (root lookups go through SluggerState::FindRootConst), so
 /// planners on different threads may evaluate concurrently as long as no
 /// Commit is running; Commit requires exclusive access to the state.
-/// The default-constructed planner uses the process-wide memo table, which
-/// is NOT thread-safe — concurrent planners must each bring their own.
+/// The memo table is NOT thread-safe, so concurrent planners must each
+/// bring their own; it must outlive the planner.
 class MergePlanner {
  public:
-  explicit MergePlanner(SluggerState* state, MemoTable* memo = nullptr)
-      : state_(state), memo_(memo != nullptr ? memo : &MemoTable::Global()) {
-    // Scratch is sized once to the state's id bound instead of lazily to
-    // the forest's current capacity: a planner re-evaluating inside the
-    // async engine's commit room must not read the capacity (another
-    // committer may be appending under the growth lock).
+  MergePlanner(SluggerState* state, MemoTable* memo)
+      : state_(state), memo_(memo) {
+    // Scratch is sized once to the state's id bound, so no evaluation
+    // ever has to grow it.
     size_t bound = state_->max_supernodes();
     mark_epoch_.assign(bound, 0);
     root_stamp_.assign(bound, 0);

@@ -41,13 +41,10 @@ struct SluggerResult {
   bool cancelled = false;           ///< a SummarizeHooks::cancel token fired
 };
 
-/// Runs SLUGGER on g. Deterministic for a fixed config: num_threads <= 1
-/// runs the sequential engine (reproducible run to run), and with
-/// config.deterministic (the default) the result is additionally
-/// identical across all num_threads >= 2; with deterministic = false the
-/// async engine's result depends on scheduling. Pinning
-/// config.engine = MergeEngine::kRoundBased extends the byte-identity
-/// guarantee to every thread count including 1 (see SluggerConfig).
+/// Runs SLUGGER on g. Deterministic for a fixed config: one thread runs
+/// the sequential engine, and two or more run the round-based engine,
+/// whose result is identical across all of those thread counts (see
+/// SluggerConfig::num_threads).
 SluggerResult Summarize(const graph::Graph& g, const SluggerConfig& config);
 
 /// Summarize with run-scoped hooks: per-iteration progress reporting,
@@ -60,13 +57,6 @@ SluggerResult Summarize(const graph::Graph& g, const SluggerConfig& config,
 
 /// Merging threshold θ(t) (paper Eq. 9).
 double MergingThreshold(uint32_t t, uint32_t total_iterations);
-
-/// The concrete engine a config runs at `threads` workers: kAuto maps to
-/// the historical dispatch (sequential at one thread, then
-/// round-based/async per `deterministic`); an explicit engine wins. The
-/// single source of truth for Summarize and for callers that must predict
-/// whether a pool is needed (slugger::Engine's persistent pool).
-MergeEngine ResolveEngine(const SluggerConfig& config, unsigned threads);
 
 }  // namespace slugger::core
 

@@ -28,19 +28,6 @@ SluggerState::SluggerState(const graph::Graph& g)
   }
 }
 
-void SluggerState::ReserveForMergePhase() {
-  const SupernodeId total = max_supernodes_;
-  root_of_.reserve(total);
-  root_pos_.reserve(total);
-  h_.reserve(total);
-  inc_.reserve(total);
-  within_.reserve(total);
-  height_.reserve(total);
-  root_adj_.reserve(total);
-  dsu_.Reserve(total);
-  summary_.Reserve(total);
-}
-
 void SluggerState::RootAdjAdd(SupernodeId ra, SupernodeId rb, int delta) {
   uint32_t& ab = root_adj_[ra].GetOrInsert(rb, 0);
   ab = static_cast<uint32_t>(static_cast<int64_t>(ab) + delta);
@@ -50,7 +37,12 @@ void SluggerState::RootAdjAdd(SupernodeId ra, SupernodeId rb, int delta) {
   if (ba == 0) root_adj_[rb].Erase(ra);
 }
 
-void SluggerState::ApplyEdgeAdd(SupernodeId rx, SupernodeId ry) {
+void SluggerState::AddEdge(SupernodeId x, SupernodeId y, EdgeSign sign) {
+  bool inserted = summary_.AddEdge(x, y, sign);
+  assert(inserted);
+  (void)inserted;
+  SupernodeId rx = FindRoot(x);
+  SupernodeId ry = FindRoot(y);
   if (rx == ry) {
     ++within_[rx];
     ++inc_[rx];
@@ -61,8 +53,9 @@ void SluggerState::ApplyEdgeAdd(SupernodeId rx, SupernodeId ry) {
   }
 }
 
-EdgeSign SluggerState::ApplyEdgeRemove(SupernodeId x, SupernodeId y,
-                                       SupernodeId rx, SupernodeId ry) {
+EdgeSign SluggerState::RemoveEdge(SupernodeId x, SupernodeId y) {
+  SupernodeId rx = FindRoot(x);
+  SupernodeId ry = FindRoot(y);
   EdgeSign sign = summary_.RemoveEdge(x, y);
   if (sign == 0) return 0;
   if (rx == ry) {
@@ -76,36 +69,7 @@ EdgeSign SluggerState::ApplyEdgeRemove(SupernodeId x, SupernodeId y,
   return sign;
 }
 
-void SluggerState::AddEdge(SupernodeId x, SupernodeId y, EdgeSign sign) {
-  bool inserted = summary_.AddEdge(x, y, sign);
-  assert(inserted);
-  (void)inserted;
-  ApplyEdgeAdd(FindRoot(x), FindRoot(y));
-}
-
-EdgeSign SluggerState::RemoveEdge(SupernodeId x, SupernodeId y) {
-  return ApplyEdgeRemove(x, y, FindRoot(x), FindRoot(y));
-}
-
-void SluggerState::AddEdgeConcurrent(SupernodeId x, SupernodeId y,
-                                     EdgeSign sign) {
-  bool inserted = summary_.AddEdge(x, y, sign);
-  assert(inserted);
-  (void)inserted;
-  ApplyEdgeAdd(FindRootConst(x), FindRootConst(y));
-}
-
-EdgeSign SluggerState::RemoveEdgeConcurrent(SupernodeId x, SupernodeId y) {
-  return ApplyEdgeRemove(x, y, FindRootConst(x), FindRootConst(y));
-}
-
 SupernodeId SluggerState::MergeRoots(SupernodeId a, SupernodeId b) {
-  SupernodeId m = MergeRootsStructural(a, b);
-  FoldRootAdjacency(a, b, m);
-  return m;
-}
-
-SupernodeId SluggerState::MergeRootsStructural(SupernodeId a, SupernodeId b) {
   assert(a != b);
   uint32_t between_ab = Between(a, b);
   SupernodeId m = summary_.Merge(a, b);
@@ -138,11 +102,7 @@ SupernodeId SluggerState::MergeRootsStructural(SupernodeId a, SupernodeId b) {
   remove_root(b);
   root_pos_[m] = static_cast<uint32_t>(roots_.size());
   roots_.push_back(m);
-  return m;
-}
 
-void SluggerState::FoldRootAdjacency(SupernodeId a, SupernodeId b,
-                                     SupernodeId m) {
   // Fold root adjacencies of a and b into m: the larger side's map is
   // moved wholesale and becomes m's, so only the smaller side pays map
   // inserts into m. Back-pointer rewrites (other -> a/b becoming
@@ -164,6 +124,7 @@ void SluggerState::FoldRootAdjacency(SupernodeId a, SupernodeId b,
     m_adj.GetOrInsert(other, 0) += count;
   });
   root_adj_[small].clear();
+  return m;
 }
 
 uint64_t SluggerState::TotalCostFromAggregates() const {

@@ -49,14 +49,8 @@ class SluggerState {
 
   /// Upper bound on supernode ids this state can ever allocate (leaves plus
   /// at most n - 1 merges). Constant for the life of the state, so worker
-  /// scratch sized to it never needs the (concurrently growing) capacity.
+  /// scratch sized to it never needs the (growing) capacity.
   SupernodeId max_supernodes() const { return max_supernodes_; }
-
-  /// Pre-allocates every growable structure to max_supernodes() so the
-  /// merge phase never reallocates. Mandatory before the sharded async
-  /// engine runs: with stable storage, concurrent readers of existing
-  /// entries stay safe while the (growth-serialized) committer appends.
-  void ReserveForMergePhase();
 
   uint64_t HCost(SupernodeId root) const { return h_[root]; }
   uint64_t IncCost(SupernodeId root) const { return inc_[root]; }
@@ -82,27 +76,9 @@ class SluggerState {
   /// Removes superedge {x, y}; returns its sign (0 if absent).
   EdgeSign RemoveEdge(SupernodeId x, SupernodeId y);
 
-  /// AddEdge / RemoveEdge for concurrent committers: root lookups use the
-  /// compression-free FindRootConst, so the union-find is never written.
-  /// The caller must hold the shard locks of both endpoint roots (they are
-  /// the only aggregates written) and ReserveForMergePhase() must have run.
-  void AddEdgeConcurrent(SupernodeId x, SupernodeId y, EdgeSign sign);
-  EdgeSign RemoveEdgeConcurrent(SupernodeId x, SupernodeId y);
-
   /// Creates M = a ∪ b over roots a and b and folds aggregates; returns M.
   /// Does not touch p/n-edges (the merge planner applies those deltas).
   SupernodeId MergeRoots(SupernodeId a, SupernodeId b);
-
-  /// The two phases of MergeRoots, split for the sharded async engine.
-  /// MergeRootsStructural allocates M, extends the per-supernode arrays,
-  /// unions the union-find and swaps the root list — everything a
-  /// concurrent committer must serialize on (call under the growth lock).
-  /// FoldRootAdjacency rewires the neighbor adjacency maps onto M; it only
-  /// touches root_adj_ of {a, b, m} and their neighbor roots, all covered
-  /// by the committer's shard locks, so folds of disjoint neighborhoods
-  /// run concurrently. MergeRoots == Structural + Fold.
-  SupernodeId MergeRootsStructural(SupernodeId a, SupernodeId b);
-  void FoldRootAdjacency(SupernodeId a, SupernodeId b, SupernodeId m);
 
   /// True iff x is the root or a direct child of the root of its tree
   /// (i.e. within the re-encodable top band S_root).
@@ -119,9 +95,6 @@ class SluggerState {
 
  private:
   void RootAdjAdd(SupernodeId ra, SupernodeId rb, int delta);
-  void ApplyEdgeAdd(SupernodeId rx, SupernodeId ry);
-  EdgeSign ApplyEdgeRemove(SupernodeId x, SupernodeId y, SupernodeId rx,
-                           SupernodeId ry);
 
   const graph::Graph* input_;
   SupernodeId max_supernodes_ = 0;

@@ -88,8 +88,7 @@ class HierarchyForest {
   }
 
   /// Pre-allocates every per-supernode array to `total` entries so that
-  /// CreateParent never reallocates. Concurrent readers of existing
-  /// entries then stay safe while a (serialized) writer appends.
+  /// CreateParent never reallocates.
   void Reserve(SupernodeId total) {
     parent_.reserve(total);
     children_.reserve(total);

@@ -174,25 +174,6 @@ void QueryDegreeBatch(const SummaryGraph& summary,
                       const std::vector<uint32_t>* leaf_rank = nullptr,
                       std::span<const uint32_t> precomputed_order = {});
 
-/// Convenience wrapper bundling a summary reference with one scratch.
-/// Not thread-safe (share the summary, not the NeighborQuery); concurrent
-/// readers should call QueryNeighbors/QueryDegree with their own scratch,
-/// or go through the slugger::CompressedGraph facade.
-class NeighborQuery {
- public:
-  explicit NeighborQuery(const SummaryGraph& summary) : summary_(summary) {}
-
-  const std::vector<NodeId>& Neighbors(NodeId v) {
-    return QueryNeighbors(summary_, v, &scratch_);
-  }
-
-  size_t Degree(NodeId v) { return QueryDegree(summary_, v, &scratch_); }
-
- private:
-  const SummaryGraph& summary_;
-  QueryScratch scratch_;
-};
-
 }  // namespace slugger::summary
 
 #endif  // SLUGGER_SUMMARY_NEIGHBOR_QUERY_HPP_

@@ -105,11 +105,8 @@ class SummaryGraph {
  private:
   HierarchyForest forest_;
   std::vector<FlatSignedMap> adj_;
-  // Atomic (relaxed): the async merge engine lets commits on disjoint lock
-  // shards add/remove edges concurrently, and these two tallies are the
-  // only state they share.
-  RelaxedCounter p_count_ = 0;
-  RelaxedCounter n_count_ = 0;
+  uint64_t p_count_ = 0;
+  uint64_t n_count_ = 0;
 };
 
 }  // namespace slugger::summary

@@ -19,15 +19,6 @@ class Dsu {
     size_.assign(n, 1);
   }
 
-  /// Pre-allocates capacity for `n` total elements so later Add() calls
-  /// never reallocate. Required before concurrent readers (FindConst) may
-  /// overlap with Add() on other elements: without reallocation, Add only
-  /// writes fresh entries, which no reader can reach yet.
-  void Reserve(uint32_t n) {
-    parent_.reserve(n);
-    size_.reserve(n);
-  }
-
   /// Appends a fresh singleton set and returns its id.
   uint32_t Add() {
     uint32_t id = static_cast<uint32_t>(parent_.size());

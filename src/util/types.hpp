@@ -2,7 +2,6 @@
 #ifndef SLUGGER_UTIL_TYPES_HPP_
 #define SLUGGER_UTIL_TYPES_HPP_
 
-#include <atomic>
 #include <cstdint>
 #include <utility>
 
@@ -34,39 +33,6 @@ using Edge = std::pair<NodeId, NodeId>;
 inline Edge MakeEdge(NodeId u, NodeId v) {
   return u <= v ? Edge{u, v} : Edge{v, u};
 }
-
-/// A uint64 counter whose increments are atomic (relaxed) so concurrent
-/// committers on disjoint lock shards may bump it without a data race, yet
-/// which copies like a plain integer (reads are only performed in
-/// single-writer phases, so relaxed ordering suffices).
-class RelaxedCounter {
- public:
-  RelaxedCounter(uint64_t v = 0) : v_(v) {}  // NOLINT(runtime/explicit)
-  RelaxedCounter(const RelaxedCounter& o) : v_(o.load()) {}
-  RelaxedCounter& operator=(const RelaxedCounter& o) {
-    v_.store(o.load(), std::memory_order_relaxed);
-    return *this;
-  }
-  RelaxedCounter& operator=(uint64_t v) {
-    v_.store(v, std::memory_order_relaxed);
-    return *this;
-  }
-
-  uint64_t load() const { return v_.load(std::memory_order_relaxed); }
-  operator uint64_t() const { return load(); }
-
-  RelaxedCounter& operator++() {
-    v_.fetch_add(1, std::memory_order_relaxed);
-    return *this;
-  }
-  RelaxedCounter& operator--() {
-    v_.fetch_sub(1, std::memory_order_relaxed);
-    return *this;
-  }
-
- private:
-  std::atomic<uint64_t> v_;
-};
 
 }  // namespace slugger
 

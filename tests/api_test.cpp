@@ -1,10 +1,10 @@
 // Tests for the service-grade facade (slugger::Engine +
 // slugger::CompressedGraph): option validation returns InvalidArgument
 // instead of asserting, the progress observer fires exactly `iterations`
-// times under every merge engine, cooperative cancellation still yields a
+// times under both merge engines, cooperative cancellation still yields a
 // lossless summary, concurrent Neighbors()/Degree() readers with private
 // scratches agree with the sequential answers (run under TSan in CI), and
-// summaries round-trip through CompressedGraph Save/Load.
+// summaries round-trip through slugger::storage.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,6 +16,7 @@
 #include "api/engine.hpp"
 #include "gen/generators.hpp"
 #include "graph/graph.hpp"
+#include "storage/storage.hpp"
 
 namespace slugger {
 namespace {
@@ -24,24 +25,15 @@ graph::Graph TestGraph(uint64_t seed = 3) {
   return gen::ErdosRenyi(500, 2500, seed);
 }
 
-/// The three concrete engines; every facade behavior must hold for all.
-struct EngineCase {
-  MergeEngine engine;
-  uint32_t threads;
-  const char* name;
-};
-const EngineCase kEngineCases[] = {
-    {MergeEngine::kSequential, 1, "sequential"},
-    {MergeEngine::kRoundBased, 2, "round-based"},
-    {MergeEngine::kAsync, 2, "async"},
-};
+/// The thread counts that pick the two merge engines (1: sequential,
+/// 2: round-based); every facade behavior must hold for both.
+const uint32_t kEngineThreads[] = {1, 2};
 
-EngineOptions OptionsFor(const EngineCase& c, uint32_t iterations = 6) {
+EngineOptions OptionsFor(uint32_t threads, uint32_t iterations = 6) {
   EngineOptions options;
   options.config.iterations = iterations;
   options.config.seed = 7;
-  options.config.engine = c.engine;
-  options.config.num_threads = c.threads;
+  options.config.num_threads = threads;
   return options;
 }
 
@@ -65,12 +57,6 @@ TEST(EngineOptions, TinyGroupSizeIsInvalidArgument) {
   EXPECT_EQ(options.Validate().code(), Status::Code::kInvalidArgument);
 }
 
-TEST(EngineOptions, OutOfRangeEngineEnumIsInvalidArgument) {
-  EngineOptions options;
-  options.config.engine = static_cast<MergeEngine>(250);
-  EXPECT_EQ(options.Validate().code(), Status::Code::kInvalidArgument);
-}
-
 TEST(Engine, SummarizeReportsInvalidOptionsInsteadOfAsserting) {
   EngineOptions options;
   options.config.iterations = 0;
@@ -87,10 +73,10 @@ TEST(Engine, SummarizeReportsInvalidOptionsInsteadOfAsserting) {
 // -------------------------------------------------------------- progress
 TEST(Engine, ProgressFiresExactlyIterationsTimesUnderEveryEngine) {
   graph::Graph g = TestGraph();
-  for (const EngineCase& c : kEngineCases) {
-    SCOPED_TRACE(c.name);
+  for (uint32_t threads : kEngineThreads) {
+    SCOPED_TRACE(threads);
     constexpr uint32_t kIterations = 6;
-    Engine engine(OptionsFor(c, kIterations));
+    Engine engine(OptionsFor(threads, kIterations));
     std::vector<ProgressEvent> events;
     RunOptions run;
     run.progress = [&](const ProgressEvent& e) { events.push_back(e); };
@@ -115,9 +101,9 @@ TEST(Engine, ProgressFiresExactlyIterationsTimesUnderEveryEngine) {
 // ---------------------------------------------------------- cancellation
 TEST(Engine, CancellationMidRunStillYieldsLosslessSummary) {
   graph::Graph g = TestGraph();
-  for (const EngineCase& c : kEngineCases) {
-    SCOPED_TRACE(c.name);
-    Engine engine(OptionsFor(c, /*iterations=*/20));
+  for (uint32_t threads : kEngineThreads) {
+    SCOPED_TRACE(threads);
+    Engine engine(OptionsFor(threads, /*iterations=*/20));
     CancelToken cancel;
     uint32_t fired = 0;
     RunOptions run;
@@ -135,9 +121,9 @@ TEST(Engine, CancellationMidRunStillYieldsLosslessSummary) {
 
 TEST(Engine, PreCancelledTokenReturnsTheIdentitySummary) {
   graph::Graph g = TestGraph();
-  for (const EngineCase& c : kEngineCases) {
-    SCOPED_TRACE(c.name);
-    Engine engine(OptionsFor(c));
+  for (uint32_t threads : kEngineThreads) {
+    SCOPED_TRACE(threads);
+    Engine engine(OptionsFor(threads));
     CancelToken cancel;
     cancel.Cancel();
     RunOptions run;
@@ -170,7 +156,7 @@ TEST(Engine, PersistentPoolIsReusedAcrossRuns) {
 // ------------------------------------------------------------ query path
 TEST(CompressedGraph, DegreeMatchesNeighborsSize) {
   graph::Graph g = TestGraph();
-  Engine engine(OptionsFor(kEngineCases[0]));
+  Engine engine(OptionsFor(1));
   StatusOr<CompressedGraph> result = engine.Summarize(g);
   ASSERT_TRUE(result.ok());
   const CompressedGraph& cg = result.value();
@@ -184,7 +170,7 @@ TEST(CompressedGraph, DegreeMatchesNeighborsSize) {
 
 TEST(CompressedGraph, ConcurrentNeighborsAgreeWithSequentialAnswers) {
   graph::Graph g = gen::ErdosRenyi(600, 2400, 11);
-  Engine engine(OptionsFor(kEngineCases[1], /*iterations=*/10));
+  Engine engine(OptionsFor(2, /*iterations=*/10));
   StatusOr<CompressedGraph> result = engine.Summarize(g);
   ASSERT_TRUE(result.ok());
   const CompressedGraph& cg = result.value();
@@ -223,21 +209,20 @@ TEST(CompressedGraph, ConcurrentNeighborsAgreeWithSequentialAnswers) {
 }
 
 // ------------------------------------------------------------ round trip
-// The legacy quartet is deprecated in favor of slugger::storage, but it
-// must keep working verbatim; these tests pin that, so silence the
-// self-inflicted warnings.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 TEST(CompressedGraph, SaveLoadRoundTripsThroughTheFacade) {
   graph::Graph g = TestGraph();
-  Engine engine(OptionsFor(kEngineCases[0]));
+  Engine engine(OptionsFor(1));
   StatusOr<CompressedGraph> result = engine.Summarize(g);
   ASSERT_TRUE(result.ok());
   const CompressedGraph& cg = result.value();
+  storage::SaveOptions save;
+  save.format = storage::Format::kMonolithicV1;
+  storage::OpenOptions open;
+  open.mode = storage::OpenOptions::Mode::kInMemory;
 
   std::string path = testing::TempDir() + "/api_roundtrip.summary";
-  ASSERT_TRUE(cg.Save(path).ok());
-  StatusOr<CompressedGraph> loaded = CompressedGraph::Load(path);
+  ASSERT_TRUE(storage::Save(cg, path, save).ok());
+  StatusOr<CompressedGraph> loaded = storage::Open(path, open);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded.value().stats().cost, cg.stats().cost);
   EXPECT_EQ(loaded.value().num_nodes(), cg.num_nodes());
@@ -245,20 +230,20 @@ TEST(CompressedGraph, SaveLoadRoundTripsThroughTheFacade) {
   EXPECT_TRUE(loaded.value().Decode() == g);
 
   // In-memory round trip and corruption reporting.
-  std::string buffer = cg.Serialize();
-  StatusOr<CompressedGraph> parsed = CompressedGraph::Deserialize(buffer);
+  StatusOr<std::string> buffer = storage::Serialize(cg, save);
+  ASSERT_TRUE(buffer.ok()) << buffer.status().ToString();
+  StatusOr<CompressedGraph> parsed = storage::OpenBuffer(buffer.value(), open);
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed.value().stats().cost, cg.stats().cost);
-  buffer.resize(buffer.size() / 2);
-  EXPECT_FALSE(CompressedGraph::Deserialize(buffer).ok());
+  std::string truncated = buffer.value().substr(0, buffer.value().size() / 2);
+  EXPECT_FALSE(storage::OpenBuffer(truncated, open).ok());
 }
 
 TEST(CompressedGraph, LoadOfMissingFileIsAnError) {
   StatusOr<CompressedGraph> loaded =
-      CompressedGraph::Load(testing::TempDir() + "/definitely_absent.summary");
+      storage::Open(testing::TempDir() + "/definitely_absent.summary");
   EXPECT_FALSE(loaded.ok());
 }
-#pragma GCC diagnostic pop
 
 }  // namespace
 }  // namespace slugger

@@ -1,17 +1,15 @@
-// Tests for the parallel phases and their synchronization primitives:
-// merge-engine determinism (same seed + same thread count -> byte-identical
-// serialized summary; deterministic mode byte-identical across thread
-// counts; forced round engine byte-identical INCLUDING one thread),
-// parallel pruning determinism (byte-identical summaries at pool sizes 1,
-// 2, 8), parallel VerifyLossless/Decode agreement with the sequential
-// verifier on RMAT/ER inputs, the sharded async commit path, losslessness
-// and aggregate invariants, plus thread-pool / lock-table unit coverage.
+// Tests for the parallel phases: merge-engine determinism (same seed +
+// same thread count -> byte-identical serialized summary; the round-based
+// engine byte-identical across every thread count >= 2), parallel pruning
+// determinism (byte-identical summaries at pool sizes 1, 2, 8), parallel
+// VerifyLossless/Decode agreement with the sequential verifier on RMAT/ER
+// inputs, losslessness and aggregate invariants, plus thread-pool unit
+// coverage.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <numeric>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/pruning.hpp"
@@ -20,7 +18,6 @@
 #include "summary/decode.hpp"
 #include "summary/serialize.hpp"
 #include "summary/verify.hpp"
-#include "util/sharded_lock.hpp"
 #include "util/thread_pool.hpp"
 
 namespace slugger {
@@ -84,71 +81,15 @@ TEST(ThreadPool, ZeroTasksIsANoop) {
   EXPECT_FALSE(ran);
 }
 
-// ------------------------------------------------------ lock primitives
-TEST(ShardedLockTable, NormalizeSortsAndDedups) {
-  std::vector<uint32_t> shards = {7, 3, 7, 1, 3};
-  ShardedLockTable::Normalize(&shards);
-  EXPECT_EQ(shards, (std::vector<uint32_t>{1, 3, 7}));
-}
-
-TEST(ShardedLockTable, OverlappingSetsMutuallyExclude) {
-  ShardedLockTable table(8);
-  // Find two ids in the same shard and one in a different shard.
-  uint32_t base = 0;
-  uint32_t same = 1;
-  while (table.ShardOf(same) != table.ShardOf(base)) ++same;
-  uint64_t unprotected = 0;
-  std::vector<uint32_t> set_a = {table.ShardOf(base)};
-  std::vector<uint32_t> set_b = {table.ShardOf(same), table.ShardOf(base) ^ 1};
-  ShardedLockTable::Normalize(&set_a);
-  ShardedLockTable::Normalize(&set_b);
-  constexpr int kIters = 20000;
-  auto work = [&](const std::vector<uint32_t>& set) {
-    for (int i = 0; i < kIters; ++i) {
-      table.Lock(set);
-      ++unprotected;  // both sets contain ShardOf(base)'s shard
-      table.Unlock(set);
-    }
-  };
-  std::thread t1([&] { work(set_a); });
-  std::thread t2([&] { work(set_b); });
-  t1.join();
-  t2.join();
-  EXPECT_EQ(unprotected, 2ull * kIters);
-}
-
-TEST(TwoGroupLock, GroupsNeverOverlap) {
-  TwoGroupLock rooms;
-  std::atomic<int> in_group[2] = {0, 0};
-  std::atomic<bool> overlap{false};
-  constexpr int kIters = 5000;
-  auto member = [&](unsigned group) {
-    for (int i = 0; i < kIters; ++i) {
-      rooms.Enter(group);
-      in_group[group].fetch_add(1);
-      if (in_group[1 - group].load() != 0) overlap.store(true);
-      in_group[group].fetch_sub(1);
-      rooms.Exit(group);
-    }
-  };
-  std::vector<std::thread> threads;
-  for (unsigned g : {0u, 1u, 0u, 1u}) {
-    threads.emplace_back([&, g] { member(g); });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_FALSE(overlap.load());
-}
-
 // --------------------------------------------------------- engine fixtures
 graph::Graph RmatInput() { return gen::RMat(10, 4000, 0.57, 0.19, 0.19, 7); }
 graph::Graph ErdosRenyiInput() { return gen::ErdosRenyi(800, 3200, 11); }
 
-core::SluggerConfig ParallelConfig(uint32_t threads, bool deterministic) {
+core::SluggerConfig ParallelConfig(uint32_t threads) {
   core::SluggerConfig config;
   config.iterations = 8;
   config.seed = 42;
   config.num_threads = threads;
-  config.deterministic = deterministic;
   config.check_aggregates = true;
   return config;
 }
@@ -165,7 +106,7 @@ std::string SummaryBytes(const graph::Graph& g,
 TEST(ParallelEngine, SameSeedSameThreadsIsByteIdentical) {
   for (const graph::Graph& g : {RmatInput(), ErdosRenyiInput()}) {
     for (uint32_t threads : {1u, 2u, 8u}) {
-      core::SluggerConfig config = ParallelConfig(threads, true);
+      core::SluggerConfig config = ParallelConfig(threads);
       std::string first = SummaryBytes(g, config);
       std::string second = SummaryBytes(g, config);
       EXPECT_EQ(first, second) << "threads = " << threads;
@@ -177,7 +118,7 @@ TEST(ParallelEngine, DeterministicModeIsThreadCountInvariant) {
   // The round-based engine commits in group order against per-round
   // snapshots, so its output does not depend on the worker count at all.
   for (const graph::Graph& g : {RmatInput(), ErdosRenyiInput()}) {
-    core::SluggerConfig config = ParallelConfig(2, true);
+    core::SluggerConfig config = ParallelConfig(2);
     std::string two = SummaryBytes(g, config);
     config.num_threads = 4;
     std::string four = SummaryBytes(g, config);
@@ -192,7 +133,7 @@ TEST(ParallelEngine, DeterministicModeIsThreadCountInvariant) {
 TEST(ParallelEngine, LosslessAndAggregatesAcrossThreadCounts) {
   for (const graph::Graph& g : {RmatInput(), ErdosRenyiInput()}) {
     for (uint32_t threads : {1u, 2u, 8u}) {
-      core::SluggerConfig config = ParallelConfig(threads, true);
+      core::SluggerConfig config = ParallelConfig(threads);
       core::SluggerResult r = core::Summarize(g, config);
       EXPECT_EQ(r.threads_used, threads);
       EXPECT_TRUE(r.aggregates_valid) << "threads = " << threads;
@@ -203,22 +144,9 @@ TEST(ParallelEngine, LosslessAndAggregatesAcrossThreadCounts) {
   }
 }
 
-TEST(ParallelEngine, AsyncModeStaysLossless) {
-  for (const graph::Graph& g : {RmatInput(), ErdosRenyiInput()}) {
-    for (uint32_t threads : {2u, 8u}) {
-      core::SluggerConfig config = ParallelConfig(threads, false);
-      core::SluggerResult r = core::Summarize(g, config);
-      EXPECT_TRUE(r.aggregates_valid) << "threads = " << threads;
-      EXPECT_TRUE(summary::VerifyLossless(g, r.summary).ok())
-          << "threads = " << threads;
-      EXPECT_GT(r.merges, 0u);
-    }
-  }
-}
-
 TEST(ParallelEngine, AutoThreadCountWorks) {
   graph::Graph g = ErdosRenyiInput();
-  core::SluggerConfig config = ParallelConfig(0, true);
+  core::SluggerConfig config = ParallelConfig(0);
   core::SluggerResult r = core::Summarize(g, config);
   EXPECT_GE(r.threads_used, 1u);
   EXPECT_TRUE(summary::VerifyLossless(g, r.summary).ok());
@@ -228,8 +156,8 @@ TEST(ParallelEngine, ParallelRunsCompressComparablyToSequential) {
   // The round engine explores slightly different merges than the
   // sequential path, but compression quality must stay in the same league.
   graph::Graph g = RmatInput();
-  core::SluggerConfig seq = ParallelConfig(1, true);
-  core::SluggerConfig par = ParallelConfig(8, true);
+  core::SluggerConfig seq = ParallelConfig(1);
+  core::SluggerConfig par = ParallelConfig(8);
   uint64_t cost_seq = core::Summarize(g, seq).stats.cost;
   uint64_t cost_par = core::Summarize(g, par).stats.cost;
   EXPECT_LT(cost_par, g.num_edges());
@@ -239,73 +167,19 @@ TEST(ParallelEngine, ParallelRunsCompressComparablyToSequential) {
 TEST(ParallelEngine, TinyGraphsSurviveAllEngines) {
   graph::Graph empty = graph::Graph::FromEdges(0, {});
   graph::Graph one_edge = graph::Graph::FromEdges(2, {{0, 1}});
-  for (bool deterministic : {true, false}) {
-    for (uint32_t threads : {1u, 2u, 8u}) {
-      core::SluggerConfig config = ParallelConfig(threads, deterministic);
-      core::SluggerResult r0 = core::Summarize(empty, config);
-      EXPECT_EQ(r0.stats.cost, 0u);
-      core::SluggerResult r1 = core::Summarize(one_edge, config);
-      EXPECT_TRUE(summary::VerifyLossless(one_edge, r1.summary).ok());
-    }
-  }
-}
-
-// ---------------------------------------------------------- engine knob
-TEST(ParallelEngine, ForcedRoundEngineByteIdenticalIncludingOneThread) {
-  // With the round-based engine pinned (and parallel pruning + parallel
-  // verify on their pool), the full pipeline is byte-identical at 1, 2,
-  // and 8 threads — including the one-thread run, which kAuto would have
-  // sent down the distinct sequential path.
-  for (const graph::Graph& g : {RmatInput(), ErdosRenyiInput()}) {
-    std::string reference;
-    for (uint32_t threads : {1u, 2u, 8u}) {
-      core::SluggerConfig config = ParallelConfig(threads, true);
-      config.engine = core::MergeEngine::kRoundBased;
-      std::string bytes = SummaryBytes(g, config);
-      if (reference.empty()) {
-        reference = bytes;
-      } else {
-        EXPECT_EQ(bytes, reference) << "threads = " << threads;
-      }
-    }
-  }
-}
-
-TEST(ParallelEngine, SequentialEngineOutputIgnoresPoolSize) {
-  // engine = kSequential with spare threads parallelizes only candidate
-  // generation (thread-count invariant); with parallel pruning disabled
-  // the bytes must match the plain one-thread run exactly.
-  graph::Graph g = RmatInput();
-  core::SluggerConfig config = ParallelConfig(1, true);
-  config.parallel_pruning = false;
-  std::string one = SummaryBytes(g, config);
-  config.engine = core::MergeEngine::kSequential;
-  config.num_threads = 4;
-  std::string four = SummaryBytes(g, config);
-  EXPECT_EQ(one, four);
-}
-
-TEST(ParallelEngine, AsyncShardedCommitsSurviveHeavyChurn) {
-  // Many small dense communities produce many concurrent commits on
-  // overlapping and disjoint neighborhoods; every schedule must stay
-  // lossless with valid aggregates.
-  graph::Graph g = gen::Caveman(60, 12, 0.1, 11);
-  for (uint32_t threads : {2u, 8u}) {
-    core::SluggerConfig config = ParallelConfig(threads, false);
-    config.engine = core::MergeEngine::kAsync;
-    config.iterations = 10;
-    core::SluggerResult r = core::Summarize(g, config);
-    EXPECT_TRUE(r.aggregates_valid) << "threads = " << threads;
-    EXPECT_TRUE(summary::VerifyLossless(g, r.summary).ok())
-        << "threads = " << threads;
-    EXPECT_GT(r.merges, 0u);
+  for (uint32_t threads : {1u, 2u}) {  // sequential, round-based
+    core::SluggerConfig config = ParallelConfig(threads);
+    core::SluggerResult r0 = core::Summarize(empty, config);
+    EXPECT_EQ(r0.stats.cost, 0u);
+    core::SluggerResult r1 = core::Summarize(one_edge, config);
+    EXPECT_TRUE(summary::VerifyLossless(one_edge, r1.summary).ok());
   }
 }
 
 // ------------------------------------------------------ parallel pruning
 TEST(ParallelPruning, ByteIdenticalAcrossPoolSizes) {
   for (const graph::Graph& g : {RmatInput(), ErdosRenyiInput()}) {
-    core::SluggerConfig config = ParallelConfig(1, true);
+    core::SluggerConfig config = ParallelConfig(1);
     config.pruning_rounds = 0;  // keep the summary unpruned
     core::SluggerResult r = core::Summarize(g, config);
     const summary::SummaryGraph base = r.summary;
@@ -339,7 +213,7 @@ TEST(ParallelPruning, ByteIdenticalAcrossPoolSizes) {
 
 TEST(ParallelPruning, AblationStagesStayMonotone) {
   graph::Graph g = ErdosRenyiInput();
-  core::SluggerConfig config = ParallelConfig(1, true);
+  core::SluggerConfig config = ParallelConfig(1);
   config.pruning_rounds = 0;
   core::SluggerResult r = core::Summarize(g, config);
   ThreadPool pool(4);
@@ -355,7 +229,7 @@ TEST(ParallelPruning, AblationStagesStayMonotone) {
 // ------------------------------------------------- parallel verify/decode
 TEST(ParallelVerify, AgreesWithSequentialOnIntactSummaries) {
   for (const graph::Graph& g : {RmatInput(), ErdosRenyiInput()}) {
-    core::SluggerConfig config = ParallelConfig(1, true);
+    core::SluggerConfig config = ParallelConfig(1);
     core::SluggerResult r = core::Summarize(g, config);
     graph::Graph decoded_seq = summary::Decode(r.summary);
     for (uint32_t pool_size : {1u, 2u, 8u}) {
@@ -370,7 +244,7 @@ TEST(ParallelVerify, AgreesWithSequentialOnIntactSummaries) {
 
 TEST(ParallelVerify, AgreesWithSequentialOnCorruptedSummaries) {
   graph::Graph g = ErdosRenyiInput();
-  core::SluggerConfig config = ParallelConfig(1, true);
+  core::SluggerConfig config = ParallelConfig(1);
   core::SluggerResult r = core::Summarize(g, config);
 
   // Drop one non-self superedge: at least one subnode pair loses coverage,

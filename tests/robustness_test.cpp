@@ -94,7 +94,8 @@ TEST(Invariants, RandomMergeSequencesKeepAggregatesAndSemantics) {
   for (uint64_t seed : {11ull, 22ull}) {
     graph::Graph g = gen::DuplicationDivergence(120, 2, 0.4, 0.7, seed);
     core::SluggerState state(g);
-    core::MergePlanner planner(&state);
+    core::MemoTable memo;
+    core::MergePlanner planner(&state, &memo);
     Rng rng(seed);
     int checked = 0;
     for (int step = 0; step < 60 && state.roots().size() > 2; ++step) {
@@ -121,7 +122,8 @@ TEST(Invariants, PruningAfterArbitraryMergesStaysLossless) {
   for (uint64_t seed : {5ull, 9ull, 13ull}) {
     graph::Graph g = gen::ErdosRenyi(80, 300, seed);
     core::SluggerState state(g);
-    core::MergePlanner planner(&state);
+    core::MemoTable memo;
+    core::MergePlanner planner(&state, &memo);
     Rng rng(seed);
     for (int step = 0; step < 25; ++step) {
       SupernodeId a = state.roots()[rng.Below(state.roots().size())];
@@ -148,9 +150,9 @@ TEST(Invariants, NeighborQueryMatchesDecodeOnRealSummaries) {
     core::SluggerResult r = core::Summarize(g, config);
     graph::Graph decoded = summary::Decode(r.summary);
     ASSERT_EQ(decoded, g);
-    summary::NeighborQuery query(r.summary);
+    summary::QueryScratch scratch;
     for (NodeId u = 0; u < g.num_nodes(); ++u) {
-      std::vector<NodeId> got = query.Neighbors(u);
+      std::vector<NodeId> got = summary::QueryNeighbors(r.summary, u, &scratch);
       std::sort(got.begin(), got.end());
       auto want = g.Neighbors(u);
       ASSERT_EQ(got.size(), want.size()) << "node " << u;

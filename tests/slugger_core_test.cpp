@@ -53,7 +53,8 @@ TEST(SluggerState, MergeFoldsAggregates) {
 TEST(SluggerState, EdgeOpsKeepAggregatesConsistent) {
   graph::Graph g = gen::ErdosRenyi(60, 240, 4);
   SluggerState state(g);
-  MergePlanner planner(&state);
+  MemoTable memo;
+  MergePlanner planner(&state, &memo);
   // Perform a few merges through the planner, validating after each.
   Rng rng(5);
   for (int step = 0; step < 10; ++step) {
@@ -72,7 +73,8 @@ TEST(SluggerState, EdgeOpsKeepAggregatesConsistent) {
 TEST(MergePlanner, TwinMergeSavesAndStaysLossless) {
   graph::Graph g = TwinGraph();
   SluggerState state(g);
-  MergePlanner planner(&state);
+  MemoTable memo;
+  MergePlanner planner(&state, &memo);
   MergePlan plan = planner.Evaluate(0, 1);
   ASSERT_TRUE(plan.valid);
   // Before: cost 7 (edges of 0 and 1). After: {0,1} with self-loop + three
@@ -89,7 +91,8 @@ TEST(MergePlanner, CostAfterMatchesCommittedCost) {
   // The predicted numerator must equal the real cost delta on commit.
   graph::Graph g = gen::Caveman(4, 6, 0.15, 9);
   SluggerState state(g);
-  MergePlanner planner(&state);
+  MemoTable memo;
+  MergePlanner planner(&state, &memo);
   Rng rng(3);
   for (int step = 0; step < 12; ++step) {
     SupernodeId a = state.roots()[rng.Below(state.roots().size())];
@@ -114,7 +117,8 @@ TEST(MergePlanner, DisjointMergeCostsTwoExtra) {
   // Lemma 1: merging two far-apart roots adds exactly the two h-edges.
   graph::Graph g = graph::Graph::FromEdges(6, {{0, 1}, {2, 3}, {4, 5}});
   SluggerState state(g);
-  MergePlanner planner(&state);
+  MemoTable memo;
+  MergePlanner planner(&state, &memo);
   MergePlan plan = planner.Evaluate(0, 2);
   ASSERT_TRUE(plan.valid);
   EXPECT_EQ(plan.cost_after, plan.cost_before + 2);
@@ -124,12 +128,13 @@ TEST(MergePlanner, DisjointMergeCostsTwoExtra) {
 TEST(MergePlanner, ScanPrefilterKeepsOverlappingPartners) {
   graph::Graph g = TwinGraph();
   SluggerState state(g);
-  MergePlanner planner(&state);
+  MemoTable memo;
+  MergePlanner planner(&state, &memo);
   planner.BeginScan(0);
   EXPECT_TRUE(planner.MayOverlap(1));  // adjacent
   graph::Graph g2 = graph::Graph::FromEdges(6, {{0, 2}, {1, 2}, {4, 5}});
   SluggerState state2(g2);
-  MergePlanner planner2(&state2);
+  MergePlanner planner2(&state2, &memo);
   planner2.BeginScan(0);
   EXPECT_TRUE(planner2.MayOverlap(1));   // share neighbor 2
   EXPECT_FALSE(planner2.MayOverlap(4));  // distance >= 3

@@ -252,11 +252,5 @@ TEST(MemoTable, WarmUpEnumeratesAllBinaryTargets) {
   EXPECT_LT(table.ApproxBytes(), 10u << 20);
 }
 
-TEST(MemoTable, GlobalSingletonStable) {
-  MemoTable& a = MemoTable::Global();
-  MemoTable& b = MemoTable::Global();
-  EXPECT_EQ(&a, &b);
-}
-
 }  // namespace
 }  // namespace slugger::core

@@ -245,9 +245,9 @@ TEST(NeighborQuery, MatchesDecodeOnRandomSummaries) {
     // hierarchy: merge nodes (2i, 2i+1) and re-encode nothing (identity).
     for (NodeId u = 0; u + 1 < 12; u += 2) s.Merge(u, u + 1);
     graph::Graph decoded = Decode(s);
-    NeighborQuery query(s);
+    QueryScratch scratch;
     for (NodeId u = 0; u < g.num_nodes(); ++u) {
-      std::vector<NodeId> got = query.Neighbors(u);
+      std::vector<NodeId> got = QueryNeighbors(s, u, &scratch);
       std::sort(got.begin(), got.end());
       auto want = decoded.Neighbors(u);
       ASSERT_EQ(got.size(), want.size()) << "node " << u;
@@ -262,10 +262,10 @@ TEST(NeighborQuery, HierarchicalCancellation) {
   SupernodeId x = s.Merge(s.Merge(0, 1), y);
   s.AddEdge(x, 5, +1);
   s.AddEdge(y, 5, -1);
-  NeighborQuery q(s);
-  EXPECT_EQ(q.Degree(0), 1u);
-  EXPECT_EQ(q.Degree(2), 0u);
-  std::vector<NodeId> n5 = q.Neighbors(5);
+  QueryScratch scratch;
+  EXPECT_EQ(QueryDegree(s, 0, &scratch), 1u);
+  EXPECT_EQ(QueryDegree(s, 2, &scratch), 0u);
+  std::vector<NodeId> n5 = QueryNeighbors(s, 5, &scratch);
   std::sort(n5.begin(), n5.end());
   EXPECT_EQ(n5, (std::vector<NodeId>{0, 1}));
 }
