@@ -2,8 +2,9 @@
 //
 // Runs SLUGGER on an RMAT graph with a sweep of worker counts and reports
 // merge-phase and candidate-generation wall time per count: one thread
-// runs the sequential engine, more run the round-based engine. Every run
-// is verified lossless. Results go to stdout as a table and to
+// runs the sequential engine, more run the round-based engine. It also
+// reports the partners each run evaluated and how many of those the
+// saving bound cut before solving. Every run is verified lossless. Results go to stdout as a table and to
 // BENCH_threads.json as a single machine-readable JSON object for the
 // perf trajectory.
 //
@@ -35,6 +36,8 @@ struct Run {
   double prune_seconds;
   uint64_t cost;
   uint64_t merges;
+  uint64_t evaluations;
+  uint64_t bounded;
   bool lossless;
 };
 
@@ -72,13 +75,17 @@ int main() {
     run.prune_seconds = r.prune_seconds;
     run.cost = r.stats.cost;
     run.merges = r.merges;
+    run.evaluations = r.evaluations;
+    run.bounded = r.bounded;
     run.lossless = summary::VerifyLossless(g, r.summary).ok();
     runs.push_back(run);
     std::printf(
         "threads=%-2u merge=%8.3fs  candidates=%7.3fs  prune=%6.3fs  "
-        "cost=%llu  lossless=%s\n",
+        "cost=%llu  evaluations=%llu  bounded=%llu  lossless=%s\n",
         t, run.merge_seconds, run.candidate_seconds, run.prune_seconds,
         static_cast<unsigned long long>(run.cost),
+        static_cast<unsigned long long>(run.evaluations),
+        static_cast<unsigned long long>(run.bounded),
         run.lossless ? "yes" : "NO");
   }
 
@@ -108,16 +115,19 @@ int main() {
                      ",\"runs\":[";
   for (size_t i = 0; i < runs.size(); ++i) {
     const Run& r = runs[i];
-    char buf[256];
+    char buf[320];
     std::snprintf(buf, sizeof(buf),
                   "%s{\"threads\":%u,"
                   "\"merge_seconds\":%.6f,\"candidate_seconds\":%.6f,"
                   "\"prune_seconds\":%.6f,\"cost\":%llu,\"merges\":%llu,"
+                  "\"evaluations\":%llu,\"bounded\":%llu,"
                   "\"lossless\":%s}",
                   i == 0 ? "" : ",", r.threads, r.merge_seconds,
                   r.candidate_seconds, r.prune_seconds,
                   static_cast<unsigned long long>(r.cost),
                   static_cast<unsigned long long>(r.merges),
+                  static_cast<unsigned long long>(r.evaluations),
+                  static_cast<unsigned long long>(r.bounded),
                   r.lossless ? "true" : "false");
     json += buf;
   }

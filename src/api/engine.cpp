@@ -24,6 +24,11 @@ struct EngineObs {
       "slugger_engine_iterations_total", "merge iterations completed");
   obs::Counter* merges = obs::MetricsRegistry::Global().GetCounter(
       "slugger_engine_merges_total", "accepted supernode merges");
+  obs::Counter* evaluations = obs::MetricsRegistry::Global().GetCounter(
+      "slugger_engine_evaluations_total", "merge partners evaluated");
+  obs::Counter* bounded = obs::MetricsRegistry::Global().GetCounter(
+      "slugger_engine_bounded_evaluations_total",
+      "merge partners the saving bound cut before solving");
   // Summarize runs span ~ms (toy graphs) to minutes: 100us first bound,
   // x2 growth, 24 buckets tops out around 14 minutes.
   obs::Histogram* run_seconds = obs::MetricsRegistry::Global().GetHistogram(
@@ -122,6 +127,8 @@ StatusOr<CompressedGraph> Engine::Summarize(const graph::Graph& g,
   o.runs->Add(1);
   if (result.cancelled) o.runs_cancelled->Add(1);
   o.merges->Add(result.merges);
+  o.evaluations->Add(result.evaluations);
+  o.bounded->Add(result.bounded);
   o.candidate_seconds->Observe(result.candidate_seconds);
   o.merge_seconds->Observe(result.merge_seconds);
   o.prune_seconds->Observe(result.prune_seconds);

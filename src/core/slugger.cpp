@@ -50,13 +50,26 @@ struct WorkerContext {
   MergePlan best;
 };
 
+/// Partners one scan evaluated, and how many of them the saving bound cut
+/// before any solve.
+struct ScanCounts {
+  uint64_t evaluations = 0;
+  uint64_t bounded = 0;
+};
+
 /// Algorithm 2 inner loop: scans q for the best merge partner of a.
 /// Read-only on the state (safe under concurrent evaluation). Returns the
 /// index of the winning partner in q (meaningful only if best->valid).
+///
+/// The saving-bound cut keeps the pick exact: a partner whose bound is
+/// below theta can never be committed, and one whose bound is not above
+/// the best saving so far cannot replace it (only a strictly larger saving
+/// does). So the first partner to reach the maximum saving, the one this
+/// loop commits when that maximum is >= theta, is never cut.
 size_t ScanPartners(const SluggerState& state, MergePlanner& planner,
                     const std::vector<SupernodeId>& q, SupernodeId a,
-                    uint32_t height_bound, MergePlan* plan, MergePlan* best,
-                    uint64_t* evaluations) {
+                    double theta, uint32_t height_bound, MergePlan* plan,
+                    MergePlan* best, ScanCounts* counts) {
   planner.BeginScan(a);
   best->Reset(a, a);
   best->saving = kNegInf;
@@ -68,9 +81,11 @@ size_t ScanPartners(const SluggerState& state, MergePlanner& planner,
       continue;  // Table V height-bounded variant
     }
     if (!planner.MayOverlap(z)) continue;  // Lemma 1: cannot pay off
-    planner.EvaluateInto(a, z, plan);
-    ++*evaluations;
-    if (plan->valid && plan->saving > best->saving) {
+    planner.EvaluatePartner(z, theta, best->saving, plan);
+    ++counts->evaluations;
+    if (!plan->valid) {
+      ++counts->bounded;
+    } else if (plan->saving > best->saving) {
       std::swap(*best, *plan);
       best_idx = i;
     }
@@ -102,8 +117,11 @@ void RunGroupsSequential(const SluggerState& state, WorkerContext& ctx,
     while (q.size() > 1) {
       if (IsCancelled(cancel)) return;  // every commit leaves a lossless state
       SupernodeId a = PopRandom(q, rng);
-      size_t best_idx = ScanPartners(state, ctx.planner, q, a, height_bound,
-                                     &ctx.plan, &best, &result->evaluations);
+      ScanCounts counts;
+      size_t best_idx = ScanPartners(state, ctx.planner, q, a, theta,
+                                     height_bound, &ctx.plan, &best, &counts);
+      result->evaluations += counts.evaluations;
+      result->bounded += counts.bounded;
       if (best.valid && best.saving >= theta) {
         SupernodeId m = ctx.planner.Commit(best);
         ++result->merges;
@@ -142,6 +160,7 @@ void RunGroupsRoundBased(
   }
 
   std::atomic<uint64_t> evaluations{0};
+  std::atomic<uint64_t> bounded{0};
   MergePlan commit_plan;
   while (!active.empty()) {
     // Round boundary: all of this round's commits have applied, so the
@@ -151,11 +170,12 @@ void RunGroupsRoundBased(
       GroupTask& gt = tasks[active[task]];
       WorkerContext& ctx = *workers[worker];
       SupernodeId a = PopRandom(gt.q, gt.rng);
-      uint64_t local_evals = 0;
-      size_t best_idx = ScanPartners(state, ctx.planner, gt.q, a,
+      ScanCounts counts;
+      size_t best_idx = ScanPartners(state, ctx.planner, gt.q, a, theta,
                                      height_bound, &ctx.plan, &ctx.best,
-                                     &local_evals);
-      evaluations.fetch_add(local_evals, std::memory_order_relaxed);
+                                     &counts);
+      evaluations.fetch_add(counts.evaluations, std::memory_order_relaxed);
+      bounded.fetch_add(counts.bounded, std::memory_order_relaxed);
       gt.want_commit = ctx.best.valid && ctx.best.saving >= theta;
       if (gt.want_commit) {
         std::swap(gt.plan, ctx.best);
@@ -193,6 +213,7 @@ void RunGroupsRoundBased(
                  active.end());
   }
   result->evaluations += evaluations.load(std::memory_order_relaxed);
+  result->bounded += bounded.load(std::memory_order_relaxed);
 }
 
 }  // namespace

@@ -31,7 +31,8 @@ struct SluggerResult {
   summary::SummaryStats stats;      ///< stats of the final summary
   PruneAblation prune_ablation;     ///< Table IV instrumentation
   uint64_t merges = 0;              ///< accepted merges
-  uint64_t evaluations = 0;         ///< Saving() evaluations performed
+  uint64_t evaluations = 0;         ///< merge partners evaluated
+  uint64_t bounded = 0;             ///< evaluations cut by the saving bound
   double merge_seconds = 0.0;       ///< candidate generation + merging
   double candidate_seconds = 0.0;   ///< candidate generation alone
   double prune_seconds = 0.0;

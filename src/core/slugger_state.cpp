@@ -11,6 +11,7 @@ SluggerState::SluggerState(const graph::Graph& g)
   // n leaves plus at most n - 1 merged supernodes.
   max_supernodes_ = n == 0 ? 0 : 2 * n - 1;
   root_of_.resize(n);
+  band_root_.resize(n);
   roots_.resize(n);
   root_pos_.resize(n);
   h_.assign(n, 0);
@@ -20,6 +21,7 @@ SluggerState::SluggerState(const graph::Graph& g)
   root_adj_.resize(n);
   for (NodeId u = 0; u < n; ++u) {
     root_of_[u] = u;
+    band_root_[u] = u;
     roots_[u] = u;
     root_pos_[u] = u;
   }
@@ -89,6 +91,15 @@ SupernodeId SluggerState::MergeRoots(SupernodeId a, SupernodeId b) {
   (void)dsu_id;
   uint32_t rep = dsu_.Unite(dsu_.Unite(a, b), m);
   root_of_[rep] = m;
+
+  // Top band: a and b become children of m; their children drop out.
+  band_root_.push_back(m);
+  for (SupernodeId r : {a, b}) {
+    for (SupernodeId c : summary_.forest().Children(r)) {
+      band_root_[c] = kInvalidId;
+    }
+    band_root_[r] = m;
+  }
 
   // Update the root list: remove a and b, add m.
   auto remove_root = [&](SupernodeId r) {
@@ -167,6 +178,14 @@ bool SluggerState::ValidateAggregates() const {
     if (h[r] != h_[r] || inc[r] != inc_[r] || within[r] != within_[r]) {
       ok = false;
     }
+  }
+  for (SupernodeId s = 0; s < forest.capacity(); ++s) {
+    if (!forest.IsAlive(s)) continue;
+    const SupernodeId p = forest.Parent(s);
+    const SupernodeId band = p == kInvalidId                  ? s
+                             : forest.Parent(p) == kInvalidId ? p
+                                                              : kInvalidId;
+    if (band_root_[s] != band) ok = false;
   }
   return ok;
 }

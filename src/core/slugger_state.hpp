@@ -6,7 +6,8 @@
 //   inc(R)      — Cost_P: p/n-edges incident to any supernode of R's tree
 //   within(R)   — edges with both endpoints inside R's tree
 //   between(R1,R2) — edges between the two trees (root adjacency)
-// plus root lookup (union-find) and per-root height for the Table-V bound.
+// plus root lookup (union-find), the top-band index the merge planner
+// classifies edges with, and per-root height for the Table-V bound.
 #ifndef SLUGGER_CORE_SLUGGER_STATE_HPP_
 #define SLUGGER_CORE_SLUGGER_STATE_HPP_
 
@@ -38,11 +39,10 @@ class SluggerState {
     return root_of_[dsu_.Find(s)];
   }
 
-  /// Root supernode containing s without path compression. Safe to call
+  /// Root of x if x is a root or a child of one (the re-encodable top band
+  /// S_root of paper Fig. 4), else kInvalidId. A plain array read: safe
   /// from concurrent evaluation threads while no merge is committing.
-  SupernodeId FindRootConst(SupernodeId s) const {
-    return root_of_[dsu_.FindConst(s)];
-  }
+  SupernodeId BandRoot(SupernodeId x) const { return band_root_[x]; }
 
   /// Current roots, in unspecified order.
   const std::vector<SupernodeId>& roots() const { return roots_; }
@@ -80,17 +80,12 @@ class SluggerState {
   /// Does not touch p/n-edges (the merge planner applies those deltas).
   SupernodeId MergeRoots(SupernodeId a, SupernodeId b);
 
-  /// True iff x is the root or a direct child of the root of its tree
-  /// (i.e. within the re-encodable top band S_root).
-  bool InTopBand(SupernodeId x, SupernodeId root) const {
-    return x == root || summary_.forest().Parent(x) == root;
-  }
-
   /// Sum of RootCost over all roots minus double-counted inter-tree edges:
   /// equals Cost(G) (used by tests to validate the aggregates).
   uint64_t TotalCostFromAggregates() const;
 
-  /// Exhaustive consistency check of aggregates (tests only; slow).
+  /// Exhaustive consistency check of aggregates and of the top-band index
+  /// (tests only; slow).
   bool ValidateAggregates() const;
 
  private:
@@ -101,6 +96,7 @@ class SluggerState {
   SummaryGraph summary_;
   Dsu dsu_;                          // over supernode ids, tracks trees
   std::vector<SupernodeId> root_of_; // dsu representative -> root id
+  std::vector<SupernodeId> band_root_;  // see BandRoot
   std::vector<SupernodeId> roots_;
   std::vector<uint32_t> root_pos_;   // root id -> index in roots_
   std::vector<uint64_t> h_;

@@ -35,14 +35,6 @@ class Dsu {
     return x;
   }
 
-  /// Representative of x without path compression. Usable from concurrent
-  /// readers while no writer (Find / Unite / Add) is active; union by size
-  /// keeps the walk O(log n) even without compression.
-  uint32_t FindConst(uint32_t x) const {
-    while (parent_[x] != x) x = parent_[x];
-    return x;
-  }
-
   /// Unites the sets of a and b; returns the surviving representative.
   uint32_t Unite(uint32_t a, uint32_t b) {
     a = Find(a);

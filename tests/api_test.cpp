@@ -2,9 +2,10 @@
 // slugger::CompressedGraph): option validation returns InvalidArgument
 // instead of asserting, the progress observer fires exactly `iterations`
 // times under both merge engines, cooperative cancellation still yields a
-// lossless summary, concurrent Neighbors()/Degree() readers with private
-// scratches agree with the sequential answers (run under TSan in CI), and
-// summaries round-trip through slugger::storage.
+// lossless summary, the engine's evaluation counters advance, concurrent
+// Neighbors()/Degree() readers with private scratches agree with the
+// sequential answers (run under TSan in CI), and summaries round-trip
+// through slugger::storage.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,6 +17,7 @@
 #include "api/engine.hpp"
 #include "gen/generators.hpp"
 #include "graph/graph.hpp"
+#include "obs/metrics.hpp"
 #include "storage/storage.hpp"
 
 namespace slugger {
@@ -150,6 +152,25 @@ TEST(Engine, PersistentPoolIsReusedAcrossRuns) {
     StatusOr<CompressedGraph> result = engine.Summarize(g);
     ASSERT_TRUE(result.ok());
     EXPECT_TRUE(result.value().Verify(g, engine.pool()).ok()) << seed;
+  }
+}
+
+TEST(Engine, PublishesEvaluationCounters) {
+  if (!obs::kEnabled) GTEST_SKIP() << "compiled with SLUGGER_OBS=OFF";
+  const graph::Graph g = TestGraph();
+  for (uint32_t threads : kEngineThreads) {
+    Engine engine(OptionsFor(threads));
+    ASSERT_TRUE(engine.Summarize(g).ok());  // registers the engine metrics
+    obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+    const obs::Counter* evaluations =
+        registry.GetCounter("slugger_engine_evaluations_total");
+    const obs::Counter* bounded =
+        registry.GetCounter("slugger_engine_bounded_evaluations_total");
+    const uint64_t evaluations_before = evaluations->Value();
+    const uint64_t bounded_before = bounded->Value();
+    ASSERT_TRUE(engine.Summarize(g).ok());
+    EXPECT_GT(evaluations->Value(), evaluations_before) << threads;
+    EXPECT_GT(bounded->Value(), bounded_before) << threads;
   }
 }
 

@@ -1,8 +1,14 @@
 // Tests for SLUGGER's driver machinery: state aggregates, merge planner,
-// candidate generation, pruning substeps, thresholds, height bounds.
+// candidate generation, pruning substeps, thresholds, height bounds, and
+// pinned output fingerprints of the whole merge phase.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <limits>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "core/candidate_generation.hpp"
 #include "core/merge_planner.hpp"
@@ -11,6 +17,7 @@
 #include "core/slugger_state.hpp"
 #include "gen/generators.hpp"
 #include "summary/decode.hpp"
+#include "summary/serialize.hpp"
 #include "summary/verify.hpp"
 
 namespace slugger::core {
@@ -138,6 +145,165 @@ TEST(MergePlanner, ScanPrefilterKeepsOverlappingPartners) {
   planner2.BeginScan(0);
   EXPECT_TRUE(planner2.MayOverlap(1));   // share neighbor 2
   EXPECT_FALSE(planner2.MayOverlap(4));  // distance >= 3
+}
+
+// ------------------------------------------------- partner-scan fast path
+
+/// Small graphs of the four families the merge phase is checked on.
+std::vector<graph::Graph> PlannerPropertyGraphs() {
+  gen::PlantedHierarchyOptions planted;
+  planted.branching = 3;
+  planted.depth = 2;
+  planted.leaf_size = 8;
+  std::vector<graph::Graph> graphs;
+  graphs.push_back(gen::RMat(10, 4096, 0.57, 0.19, 0.19, 3));
+  graphs.push_back(gen::ErdosRenyi(600, 2400, 4));
+  graphs.push_back(gen::Caveman(20, 12, 0.1, 6));
+  graphs.push_back(gen::PlantedHierarchy(planted, 2));
+  return graphs;
+}
+
+/// Drives `iterations` rounds of Algorithm 2 on g with full evaluations
+/// (small candidate groups, θ(t) schedule), so the planner sees states
+/// reached by real merges. Before each scan, visit(state, planner, a,
+/// partners) runs against the current state; it must not commit.
+using ScanVisitor =
+    std::function<void(const SluggerState&, MergePlanner&, SupernodeId,
+                       const std::vector<SupernodeId>&)>;
+void DriveGreedyMerges(const graph::Graph& g, uint32_t iterations,
+                       const ScanVisitor& visit) {
+  SluggerState state(g);
+  MemoTable memo;
+  MergePlanner planner(&state, &memo);
+  CandidateGenerator generator(g, 1, /*max_group_size=*/16,
+                               /*shingle_levels=*/10);
+  Rng rng(17);
+  MergePlan plan;
+  MergePlan best;
+  for (uint32_t t = 1; t <= iterations; ++t) {
+    const double theta = MergingThreshold(t, iterations);
+    for (std::vector<SupernodeId>& q : generator.Generate(state, t)) {
+      while (q.size() > 1) {
+        size_t a_idx = rng.Below(q.size());
+        SupernodeId a = q[a_idx];
+        q[a_idx] = q.back();
+        q.pop_back();
+        visit(state, planner, a, q);
+        best.saving = -std::numeric_limits<double>::infinity();
+        size_t best_idx = q.size();
+        for (size_t i = 0; i < q.size(); ++i) {
+          planner.EvaluateInto(a, q[i], &plan);
+          if (plan.saving > best.saving) {
+            std::swap(best, plan);
+            best_idx = i;
+          }
+        }
+        if (best_idx < q.size() && best.saving >= theta) {
+          q[best_idx] = planner.Commit(best);
+        }
+      }
+    }
+  }
+  ASSERT_TRUE(state.ValidateAggregates());
+  ASSERT_TRUE(summary::VerifyLossless(g, state.summary()).ok());
+}
+
+/// True iff two plans rewrite the same edges, in the same order, to the
+/// same cost.
+bool SamePlan(const MergePlan& x, const MergePlan& y) {
+  const auto same_add = [](const MergePlan::SignedEdge& e,
+                           const MergePlan::SignedEdge& f) {
+    return e.x == f.x && e.y == f.y && e.sign == f.sign;
+  };
+  return x.a == y.a && x.b == y.b && x.cost_before == y.cost_before &&
+         x.cost_after == y.cost_after && x.saving == y.saving &&
+         x.removes == y.removes &&
+         std::equal(x.adds.begin(), x.adds.end(), y.adds.begin(),
+                    y.adds.end(), same_add);
+}
+
+TEST(MergePlanner, SavingNeverExceedsItsBound) {
+  for (const graph::Graph& g : PlannerPropertyGraphs()) {
+    uint64_t checked = 0;
+    DriveGreedyMerges(g, 6, [&](const SluggerState&, MergePlanner& planner,
+                                SupernodeId a,
+                                const std::vector<SupernodeId>& q) {
+      MergePlan plan;
+      for (SupernodeId z : q) {
+        planner.EvaluateInto(a, z, &plan);
+        ASSERT_TRUE(plan.valid);
+        ASSERT_LE(plan.saving, plan.saving_bound) << a << " + " << z;
+        ++checked;
+      }
+    });
+    EXPECT_GT(checked, 1000u);
+  }
+}
+
+TEST(MergePlanner, BoundedScanPicksWhatFullEvaluationPicks) {
+  // Each partner list (the candidate group plus random roots, shuffled) is
+  // scanned twice: every pair through EvaluateInto, and once through
+  // EvaluatePartner with the saving-bound cut. Whenever the best saving
+  // reaches θ, both must pick the same partner with the same plan.
+  for (const graph::Graph& g : PlannerPropertyGraphs()) {
+    Rng rng(29);
+    uint64_t compared = 0;
+    uint64_t cut = 0;
+    std::vector<MergePlan> full;
+    MergePlan plan;
+    MergePlan best;
+    DriveGreedyMerges(g, 6, [&](const SluggerState& state,
+                                MergePlanner& planner, SupernodeId a,
+                                const std::vector<SupernodeId>& q) {
+      std::vector<SupernodeId> partners = q;
+      for (int k = 0; k < 4; ++k) {
+        SupernodeId r = state.roots()[rng.Below(state.roots().size())];
+        if (r != a &&
+            std::find(partners.begin(), partners.end(), r) == partners.end()) {
+          partners.push_back(r);
+        }
+      }
+      for (size_t i = partners.size(); i > 1; --i) {
+        std::swap(partners[i - 1], partners[rng.Below(i)]);
+      }
+      const size_t n = partners.size();
+      full.resize(n);
+      size_t want = n;  // first partner with the maximum saving
+      for (size_t i = 0; i < n; ++i) {
+        planner.EvaluateInto(a, partners[i], &full[i]);
+        if (full[i].saving >
+            (want == n ? -std::numeric_limits<double>::infinity()
+                       : full[want].saving)) {
+          want = i;
+        }
+      }
+      for (double theta : {0.0, 0.05, 0.5}) {
+        planner.BeginScan(a);
+        best.Reset(a, a);
+        best.saving = -std::numeric_limits<double>::infinity();
+        size_t got = n;
+        for (size_t i = 0; i < n; ++i) {
+          planner.EvaluatePartner(partners[i], theta, best.saving, &plan);
+          ASSERT_EQ(plan.saving_bound, full[i].saving_bound);
+          if (!plan.valid) {
+            ++cut;
+            continue;
+          }
+          ASSERT_TRUE(SamePlan(plan, full[i])) << a << " + " << partners[i];
+          if (plan.saving > best.saving) {
+            std::swap(best, plan);
+            got = i;
+          }
+        }
+        if (want == n || full[want].saving < theta) continue;
+        ++compared;
+        ASSERT_EQ(got, want) << "theta " << theta;
+        ASSERT_TRUE(SamePlan(best, full[want])) << "theta " << theta;
+      }
+    });
+    EXPECT_GT(compared, 100u);
+    EXPECT_GT(cut, 100u);
+  }
 }
 
 // ---------------------------------------------------------- candidates
@@ -322,6 +488,74 @@ TEST(Driver, DeterministicForSeed) {
   // overwhelmingly likely on this graph).
   EXPECT_TRUE(c.stats.cost != a.stats.cost || c.merges != a.merges ||
               c.evaluations != a.evaluations);
+}
+
+/// 64-bit FNV-1a of a byte string.
+uint64_t Fnv1a(const std::string& bytes) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+TEST(Driver, OutputFingerprintsArePinned) {
+  // Exact outputs of both engines on a fixed matrix: cost, merges,
+  // evaluations and a hash of the serialized summary. A speedup must keep
+  // every value; a change that alters outputs on purpose refreshes them.
+  gen::PlantedHierarchyOptions planted;
+  planted.branching = 3;
+  planted.depth = 3;
+  planted.leaf_size = 8;
+  const graph::Graph graphs[] = {
+      gen::RMat(12, 4 * 4096, 0.57, 0.19, 0.19, 7),
+      gen::ErdosRenyi(2000, 8000, 3),
+      gen::Caveman(40, 16, 0.1, 5),
+      gen::PlantedHierarchy(planted, 3),
+  };
+  struct Pin {
+    size_t graph;
+    uint32_t max_height;
+    uint32_t threads;
+    uint64_t cost;
+    uint64_t merges;
+    uint64_t evaluations;
+    uint64_t hash;
+  };
+  const Pin pins[] = {
+      {0, 0, 1, 14935, 318, 347731, 0x702cf207f945178f},
+      {0, 0, 2, 14778, 419, 348245, 0x203e80955f894675},
+      {0, 3, 1, 14940, 313, 347080, 0xa7366d7decc201ad},
+      {0, 3, 2, 14789, 414, 347763, 0xb986b5e1222fbec6},
+      {1, 0, 1, 7997, 84, 44223, 0xf4035d0554406c0e},
+      {1, 0, 2, 7997, 83, 44296, 0x3f3ca92c4ba40274},
+      {1, 3, 1, 7997, 84, 44223, 0xf4035d0554406c0e},
+      {1, 3, 2, 7997, 83, 44296, 0x3f3ca92c4ba40274},
+      {2, 0, 1, 1860, 482, 16021, 0x992aefda32321a1d},
+      {2, 0, 2, 1874, 482, 16292, 0x92f22339c1947546},
+      {2, 3, 1, 1962, 449, 14811, 0xc5f89be546c7e1a3},
+      {2, 3, 2, 1960, 454, 15068, 0xb817fbd3b12f9ec3},
+      {3, 0, 1, 378, 174, 5489, 0x744edcf628ee257f},
+      {3, 0, 2, 379, 177, 5631, 0x9ce3f69072ff650b},
+      {3, 3, 1, 428, 167, 4867, 0x86858c8be35c4659},
+      {3, 3, 2, 436, 165, 4908, 0x4b7b4b98041a4b70},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(::testing::Message()
+                 << "graph " << pin.graph << " Hb " << pin.max_height
+                 << " threads " << pin.threads);
+    SluggerConfig config;
+    config.iterations = 10;
+    config.seed = 7;
+    config.max_height = pin.max_height;
+    config.num_threads = pin.threads;
+    SluggerResult r = Summarize(graphs[pin.graph], config);
+    EXPECT_EQ(r.stats.cost, pin.cost);
+    EXPECT_EQ(r.merges, pin.merges);
+    EXPECT_EQ(r.evaluations, pin.evaluations);
+    EXPECT_EQ(Fnv1a(summary::SerializeSummary(r.summary)), pin.hash);
+  }
 }
 
 TEST(Driver, MoreIterationsNeverHurtMuch) {
