@@ -56,25 +56,57 @@ double SavingOf(uint64_t cost_after, uint64_t cost_before) {
                    static_cast<double>(cost_before);
 }
 
-/// Flag on a root_count_ entry that holds a bucket index, not a count.
+/// Flag on a RootSlot::count that holds a bucket index, not a tally.
 constexpr uint32_t kBucketFlag = 1u << 31;
+
+/// A tally is a group's edge count plus kNegative per n-edge, so the
+/// tallies of two sides add. A group has at most 6 x 3 cross edges or
+/// 6 x 7 / 2 within edges, far below kNegative.
+constexpr uint32_t kNegative = 1u << 16;
+constexpr uint32_t kEdgeMask = kNegative - 1;
+
+uint32_t TallyOf(EdgeSign sign) { return sign < 0 ? 1 + kNegative : 1; }
+
+/// Most edges a rewrite of a group with tally t removes net. A group with
+/// an n-edge may cancel to an empty encoding. A group without one has a
+/// nonzero target on some active class (each legal slot covers one and
+/// positive edges cannot cancel), so its best encoding keeps an edge.
+uint32_t GroupGain(uint32_t t) {
+  const uint32_t edges = t & kEdgeMask;
+  const bool keeps_an_edge = edges > 0 && t < kNegative;
+  return keeps_an_edge ? edges - 1 : edges;
+}
+
+/// GroupGain of a cross group, which gets a bucket only with >= 2 edges.
+uint32_t BucketGain(uint32_t t) {
+  return (t & kEdgeMask) < 2 ? 0 : GroupGain(t);
+}
 
 }  // namespace
 
+void MergePlanner::NextEpoch(uint32_t* epoch, uint32_t RootSlot::*field) {
+  if (++*epoch != 0) return;
+  for (RootSlot& slot : slots_) slot.*field = 0;
+  *epoch = 1;
+}
+
 void MergePlanner::BeginScan(SupernodeId a) {
-  assert(mark_epoch_.size() >= state_->summary().forest().capacity());
-  ++epoch_;
+  assert(slots_.size() >= state_->summary().forest().capacity());
+  NextEpoch(&epoch_, &RootSlot::mark);
   scan_root_ = a;
   scan_adj_.clear();
-  mark_epoch_[a] = epoch_;
+  slots_[a].mark = epoch_;
+  slots_[a].tally = 0;
   scan_adj_.push_back(a);
   state_->RootAdjacency(a).ForEach([&](SupernodeId c, uint32_t) {
-    mark_epoch_[c] = epoch_;
+    slots_[c].mark = epoch_;
+    slots_[c].tally = 0;
     scan_adj_.push_back(c);
   });
   scan_adj_count_ = static_cast<uint32_t>(scan_adj_.size());
 
-  // Gather a's family [A, A1, A2] once for every partner. An edge whose
+  // Gather a's family [A, A1, A2] once for every partner, and tally it:
+  // within-family edges, and cross edges per adjacent root. An edge whose
   // other end lies deep in some tree is never re-encoded; an edge inside
   // the family is kept once, from its lower slot.
   const SummaryGraph& summary = state_->summary();
@@ -85,6 +117,8 @@ void MergePlanner::BeginScan(SupernodeId a) {
   scan_family_[2] = kids.empty() ? kInvalidId : kids[1];
   scan_shape_ = ShapeOf(forest, a);
   scan_edges_.clear();
+  scan_within_ = 0;
+  scan_gain_ = 0;
   for (uint8_t f_local = kA; f_local <= kA2; ++f_local) {
     SupernodeId f = scan_family_[f_local - kA];
     if (f == kInvalidId) continue;
@@ -95,6 +129,13 @@ void MergePlanner::BeginScan(SupernodeId a) {
       if (band == a) {
         o_local = other == a ? kA : other == scan_family_[1] ? kA1 : kA2;
         if (o_local < f_local) return;
+        scan_within_ += TallyOf(sign);
+      } else {
+        RootSlot& slot = slots_[band];
+        assert(slot.mark == epoch_ && "a cross edge's root is adjacent");
+        const uint32_t before = slot.tally;
+        slot.tally += TallyOf(sign);
+        scan_gain_ += BucketGain(slot.tally) - BucketGain(before);
       }
       scan_edges_.push_back({other, band, f_local, o_local, sign});
     });
@@ -103,12 +144,12 @@ void MergePlanner::BeginScan(SupernodeId a) {
 
 bool MergePlanner::MayOverlap(SupernodeId z) const {
   assert(scan_root_ != kInvalidId);
-  if (mark_epoch_[z] == epoch_) return true;  // z adjacent to a
+  if (slots_[z].mark == epoch_) return true;  // z adjacent to a
   const FlatCountMap& z_adj = state_->RootAdjacency(z);
   if (z_adj.size() <= scan_adj_count_) {
     bool found = false;
     z_adj.ForEach([&](SupernodeId c, uint32_t) {
-      if (mark_epoch_[c] == epoch_) found = true;
+      if (slots_[c].mark == epoch_) found = true;
     });
     return found;
   }
@@ -128,6 +169,7 @@ void MergePlanner::EvaluatePartner(SupernodeId z, double theta, double best,
                                    MergePlan* plan) {
   assert(scan_root_ != kInvalidId && "BeginScan first");
   const SupernodeId a = scan_root_;
+  assert(z != a);
   const SummaryGraph& summary = state_->summary();
   const summary::HierarchyForest& forest = summary.forest();
 
@@ -147,34 +189,84 @@ void MergePlanner::EvaluatePartner(SupernodeId z, double theta, double best,
     return;
   }
 
+  // ---- Walk z's family [B, B1, B2] and tally it into the groups. ----
+  // a's edges into z's band leave their bucket for the within-family
+  // group. Each cross edge of z joins its root's group on top of a's tally,
+  // in a slot stamped with eval_epoch_. Scratch was sized to the id bound
+  // at construction, so no capacity check (and no capacity read) happens
+  // on this concurrent-safe path.
+  SupernodeId z_family[3] = {z, kInvalidId, kInvalidId};
+  const auto& z_kids = forest.Children(z);
+  if (!z_kids.empty()) {
+    z_family[1] = z_kids[0];
+    z_family[2] = z_kids[1];
+  }
+  const auto z_local = [&](SupernodeId id) -> uint8_t {
+    return id == z ? kB : id == z_family[1] ? kB1 : kB2;
+  };
+  NextEpoch(&eval_epoch_, &RootSlot::stamp);
+  const uint32_t a_into_z = slots_[z].mark == epoch_ ? slots_[z].tally : 0;
+  uint32_t within = scan_within_ + a_into_z;
+  uint64_t gain = scan_gain_ - BucketGain(a_into_z);
+  partner_edges_.clear();
+  for (uint8_t f_local = kB; f_local <= kB2; ++f_local) {
+    SupernodeId f = z_family[f_local - kB];
+    if (f == kInvalidId) continue;
+    summary.ForEachEdgeOf(f, [&](SupernodeId other, EdgeSign sign) {
+      SupernodeId band = state_->BandRoot(other);
+      // Deep in a tree: fixed. In a's family: tallied from a's side.
+      if (band == kInvalidId || band == a) return;
+      uint8_t o_local = kM;
+      if (band == z) {
+        o_local = z_local(other);
+        if (o_local < f_local) return;
+        within += TallyOf(sign);
+      } else {
+        RootSlot& slot = slots_[band];
+        if (slot.stamp != eval_epoch_) {
+          slot.stamp = eval_epoch_;
+          slot.count = 0;
+        }
+        const uint32_t before =
+            (slot.mark == epoch_ ? slot.tally : 0) + slot.count;
+        slot.count += TallyOf(sign);
+        gain += BucketGain(before + TallyOf(sign)) - BucketGain(before);
+      }
+      partner_edges_.push_back({other, band, f_local, o_local, sign});
+    });
+  }
+
+  // ---- Saving bound. ----
+  // No group's rewrite removes more than its gain net, so the same double
+  // operations as the saving keep saving <= saving_bound exact.
+  const uint64_t rewritable = GroupGain(within) + gain;
+  assert(rewritable <= p_before);
+  plan->saving_bound =
+      SavingOf(plan->cost_before + 2 - rewritable, plan->cost_before);
+  if (plan->saving_bound < theta || plan->saving_bound <= best) return;
+
   // ---- Local family table: [M, A, A1, A2, B, B1, B2]. ----
   SupernodeId concrete[7];
   concrete[kM] = MergePlan::kMergedSentinel;
   concrete[kA] = a;
   concrete[kA1] = scan_family_[1];
   concrete[kA2] = scan_family_[2];
-  const auto& z_kids = forest.Children(z);
   concrete[kB] = z;
-  concrete[kB1] = z_kids.empty() ? kInvalidId : z_kids[0];
-  concrete[kB2] = z_kids.empty() ? kInvalidId : z_kids[1];
+  concrete[kB1] = z_family[1];
+  concrete[kB2] = z_family[2];
   const SideShape b_shape = ShapeOf(forest, z);
   const bool a_internal = IsInternal(scan_shape_);
   const bool b_internal = IsInternal(b_shape);
   const Universe& case1 = GetCase1Universe(scan_shape_, b_shape);
-  const auto z_local = [&](SupernodeId id) -> uint8_t {
-    return id == z ? kB : id == concrete[kB1] ? kB1 : kB2;
-  };
 
-  // ---- Gather within-family edges and cross edges. ----
-  // Cross edges are tallied per adjacent root in epoch-stamped counters.
-  // Scratch was sized to the id bound at construction, so no capacity
-  // check (and no capacity read) happens on this concurrent-safe path.
+  // ---- Replay the edges into the within target and the buckets. ----
+  // A root gets a bucket at its first edge once a's and z's tallies give
+  // it >= 2; a single-edge bucket can never improve (any nonzero target
+  // costs at least one edge), so it is kept as-is at zero cost delta.
   int8_t target1[16];
   std::memset(target1, 0, sizeof(target1));
   old_within_.clear();
-  cross_edges_.clear();
-  ++eval_epoch_;
-  uint64_t shared_cross = 0;  // cross edges of roots that have >= 2
+  buckets_used_ = 0;
 
   const auto add_within = [&](uint8_t f_local, uint8_t o_local,
                               SupernodeId other, EdgeSign sign) {
@@ -186,17 +278,45 @@ void MergePlanner::EvaluatePartner(SupernodeId z, double theta, double best,
     }
     old_within_.push_back({concrete[f_local], other, sign});
   };
-  const auto add_cross = [&](SupernodeId c_root, SupernodeId other,
-                             uint8_t f_local, EdgeSign sign) {
-    if (root_stamp_[c_root] != eval_epoch_) {
-      root_stamp_[c_root] = eval_epoch_;
-      root_count_[c_root] = 1;
-    } else if (++root_count_[c_root] == 2) {
-      shared_cross += 2;
-    } else {
-      ++shared_cross;
+  const auto add_cross = [&](const ScanEdge& e) {
+    RootSlot& root = slots_[e.band];
+    if (root.stamp != eval_epoch_) {
+      root.stamp = eval_epoch_;
+      root.count = 0;
     }
-    cross_edges_.push_back({c_root, other, f_local, sign});
+    if (!(root.count & kBucketFlag)) {
+      const uint32_t tally =
+          (root.mark == epoch_ ? root.tally : 0) + root.count;
+      if ((tally & kEdgeMask) < 2) return;
+      root.count = kBucketFlag | static_cast<uint32_t>(buckets_used_);
+      if (buckets_used_ == buckets_.size()) buckets_.emplace_back();
+      Bucket& fresh = buckets_[buckets_used_++];
+      const auto& c_kids = forest.Children(e.band);
+      assert(c_kids.size() <= 2);
+      fresh.c_internal = !c_kids.empty();
+      fresh.c_nodes[0] = e.band;
+      fresh.c_nodes[1] = fresh.c_internal ? c_kids[0] : kInvalidId;
+      fresh.c_nodes[2] = fresh.c_internal ? c_kids[1] : kInvalidId;
+      std::memset(fresh.target, 0, sizeof(fresh.target));
+      fresh.old_edges.clear();
+    }
+    Bucket& bucket = buckets_[root.count & ~kBucketFlag];
+
+    int c_pos = e.other == bucket.c_nodes[0]   ? 0
+                : e.other == bucket.c_nodes[1] ? 1
+                                               : 2;
+    assert(c_pos != 2 || e.other == bucket.c_nodes[2]);
+    uint8_t mmask = MSideUnitMask(e.f_local, a_internal, b_internal);
+    uint8_t cmask = CSideUnitMask(c_pos, bucket.c_internal);
+    for (int mi = 0; mi < 4; ++mi) {
+      if (!(mmask >> mi & 1)) continue;
+      for (int cj = 0; cj < 2; ++cj) {
+        if (!(cmask >> cj & 1)) continue;
+        int cls = Case2ClassIndex(mi, cj);
+        bucket.target[cls] = static_cast<int8_t>(bucket.target[cls] + e.sign);
+      }
+    }
+    bucket.old_edges.push_back({concrete[e.f_local], e.other, e.sign});
   };
 
   // a's side first, in the order BeginScan saw it, then z's family; this
@@ -207,73 +327,15 @@ void MergePlanner::EvaluatePartner(SupernodeId z, double theta, double best,
     } else if (e.band == z) {
       add_within(e.f_local, z_local(e.other), e.other, e.sign);
     } else {
-      add_cross(e.band, e.other, e.f_local, e.sign);
+      add_cross(e);
     }
   }
-  for (uint8_t f_local = kB; f_local <= kB2; ++f_local) {
-    SupernodeId f = concrete[f_local];
-    if (f == kInvalidId) continue;
-    summary.ForEachEdgeOf(f, [&](SupernodeId other, EdgeSign sign) {
-      SupernodeId band = state_->BandRoot(other);
-      // Deep in a tree: fixed. In a's family: gathered from a's side.
-      if (band == kInvalidId || band == a) return;
-      if (band != z) {
-        add_cross(band, other, f_local, sign);
-        return;
-      }
-      uint8_t o_local = z_local(other);
-      if (o_local >= f_local) add_within(f_local, o_local, other, sign);
-    });
-  }
-
-  // ---- Saving bound. ----
-  // A rewrite removes at most the edges it is given: the within-family
-  // edges, and the cross edges of roots with >= 2 of them (only those get
-  // a bucket). So removed - added <= rewritable, and the same double
-  // operations as the saving keep saving <= saving_bound exact.
-  const uint64_t rewritable = old_within_.size() + shared_cross;
-  assert(rewritable <= p_before);
-  plan->saving_bound =
-      SavingOf(plan->cost_before + 2 - rewritable, plan->cost_before);
-  if (plan->saving_bound < theta || plan->saving_bound <= best) return;
-
-  // ---- Materialize buckets for roots with >= 2 re-encodable edges. ----
-  // A single-edge bucket can never improve (any nonzero target costs at
-  // least one edge), so it is kept as-is at zero cost delta.
-  buckets_used_ = 0;
-  for (const CrossEdge& ce : cross_edges_) {
-    uint32_t& tally = root_count_[ce.c_root];
-    if (!(tally & kBucketFlag)) {
-      if (tally < 2) continue;
-      tally = kBucketFlag | static_cast<uint32_t>(buckets_used_);
-      if (buckets_used_ == buckets_.size()) buckets_.emplace_back();
-      Bucket& fresh = buckets_[buckets_used_++];
-      const auto& c_kids = forest.Children(ce.c_root);
-      assert(c_kids.size() <= 2);
-      fresh.c_internal = !c_kids.empty();
-      fresh.c_nodes[0] = ce.c_root;
-      fresh.c_nodes[1] = fresh.c_internal ? c_kids[0] : kInvalidId;
-      fresh.c_nodes[2] = fresh.c_internal ? c_kids[1] : kInvalidId;
-      std::memset(fresh.target, 0, sizeof(fresh.target));
-      fresh.old_edges.clear();
+  for (const ScanEdge& e : partner_edges_) {
+    if (e.band == z) {
+      add_within(e.f_local, e.o_local, e.other, e.sign);
+    } else {
+      add_cross(e);
     }
-    Bucket& bucket = buckets_[tally & ~kBucketFlag];
-
-    int c_pos = ce.other == bucket.c_nodes[0]   ? 0
-                : ce.other == bucket.c_nodes[1] ? 1
-                                                : 2;
-    assert(c_pos != 2 || ce.other == bucket.c_nodes[2]);
-    uint8_t mmask = MSideUnitMask(ce.f_local, a_internal, b_internal);
-    uint8_t cmask = CSideUnitMask(c_pos, bucket.c_internal);
-    for (int mi = 0; mi < 4; ++mi) {
-      if (!(mmask >> mi & 1)) continue;
-      for (int cj = 0; cj < 2; ++cj) {
-        if (!(cmask >> cj & 1)) continue;
-        int cls = Case2ClassIndex(mi, cj);
-        bucket.target[cls] = static_cast<int8_t>(bucket.target[cls] + ce.sign);
-      }
-    }
-    bucket.old_edges.push_back({concrete[ce.f_local], ce.other, ce.sign});
   }
 
   // ---- Solve within-family (Case 1). ----

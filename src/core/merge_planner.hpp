@@ -9,13 +9,21 @@
 // The scan protocol accelerates Algorithm 2's partner search for a fixed A:
 //   - BeginScan(A) marks A's adjacent roots and gathers the edges of A's
 //     family once, each classified by the top band its other end lies in.
+//     It tallies them by group (A's within-family edges, and A's cross
+//     edges per adjacent root: count and n-edges).
 //   - MayOverlap(Z) rejects partners with no shared adjacency in
 //     O(min degree): such merges always have negative saving (Lemma 1), so
 //     they can never beat the threshold θ(t) >= 0.
-//   - EvaluatePartner(Z) gathers only Z's family. Before any bucket is
-//     built or solved it bounds the saving by assuming every re-encodable
-//     edge disappears; a partner whose bound is below θ or not above the
-//     best saving so far cannot be the scan's pick, so it is cut.
+//   - EvaluatePartner(Z) walks only Z's family, adds its edges to the
+//     tallies, and bounds the saving before any bucket is built or solved.
+//     A group is the within-family edges, or the cross edges of one
+//     adjacent root when there are >= 2 of them (a bucket). A group with an
+//     n-edge may cancel to nothing, so its rewrite saves at most its count.
+//     A group without one keeps an edge: every legal slot covers an active
+//     class and positive edges cannot cancel, so its target is nonzero and
+//     its rewrite saves at most count - 1. A partner whose bound is below θ
+//     or not above the best saving so far cannot be the scan's pick, so it
+//     is cut; only an uncut partner replays the edges into buckets.
 #ifndef SLUGGER_CORE_MERGE_PLANNER_HPP_
 #define SLUGGER_CORE_MERGE_PLANNER_HPP_
 
@@ -36,8 +44,10 @@ struct MergePlan {
   SupernodeId b = kInvalidId;
   bool valid = false;
   double saving = 0.0;
-  /// Upper bound on `saving` known after the gather alone (every
-  /// re-encodable edge removed, none added); set even when the plan is cut.
+  /// Upper bound on `saving` from the group tallies alone: a rewrite saves
+  /// at most each group's edge count, less one for a group without an
+  /// n-edge, and nothing for a single cross edge. Set even when the plan is
+  /// cut.
   double saving_bound = 0.0;
   uint64_t cost_after = 0;     ///< Cost_{A∪B}(Ĝ), numerator of Eq. 8
   uint64_t cost_before = 0;    ///< denominator of Eq. 8
@@ -78,10 +88,7 @@ class MergePlanner {
       : state_(state), memo_(memo) {
     // Scratch is sized once to the state's id bound, so no evaluation
     // ever has to grow it.
-    size_t bound = state_->max_supernodes();
-    mark_epoch_.assign(bound, 0);
-    root_stamp_.assign(bound, 0);
-    root_count_.assign(bound, 0);
+    slots_.assign(state_->max_supernodes(), RootSlot{});
   }
 
   /// Starts a partner scan for root a: marks its adjacency for MayOverlap
@@ -95,8 +102,8 @@ class MergePlanner {
 
   /// Computes the plan for merging the scan root with root z into *plan.
   /// If plan->saving_bound shows the saving is below theta or not above
-  /// best, the plan is left invalid without solving any encoding. Never
-  /// mutates state; reuses plan buffers.
+  /// best, the plan is left invalid without building a bucket or solving
+  /// any encoding. Never mutates state; reuses plan buffers.
   void EvaluatePartner(SupernodeId z, double theta, double best,
                        MergePlan* plan);
 
@@ -117,6 +124,8 @@ class MergePlanner {
   SupernodeId Commit(const MergePlan& plan);
 
  private:
+  friend struct MergePlannerTestPeer;  // tests start the epochs near a wrap
+
   struct Bucket {
     bool c_internal;
     SupernodeId c_nodes[3];  // C, C1, C2 (kInvalidId if absent)
@@ -124,8 +133,9 @@ class MergePlanner {
     std::vector<MergePlan::SignedEdge> old_edges;
   };
 
-  /// An edge of the scan root's family: `other` lies in the top band of
-  /// `band`; o_local is other's family slot when band is the scan root.
+  /// A classified edge of the scan root's or the partner's family: `other`
+  /// lies in the top band of `band`; o_local is other's family slot when
+  /// the edge is within the family (kM for a cross edge).
   struct ScanEdge {
     SupernodeId other;
     SupernodeId band;
@@ -134,11 +144,25 @@ class MergePlanner {
     EdgeSign sign;
   };
 
+  /// Per-supernode scratch, so one band-root lookup touches one cache line.
+  /// A tally counts edges plus kNegative per n-edge (see the .cpp).
+  struct RootSlot {
+    uint32_t mark = 0;   // == epoch_: the scan root or adjacent to it
+    uint32_t tally = 0;  // scan root's edges into this band (with mark)
+    uint32_t stamp = 0;  // == eval_epoch_: `count` is current
+    uint32_t count = 0;  // partner's edges into this band, then
+                         // kBucketFlag | bucket index once it has one
+  };
+
+  /// Advances an epoch. On a wrap every slot's `field` is cleared, so no
+  /// stamp from 2^32 epochs ago can read as current.
+  void NextEpoch(uint32_t* epoch, uint32_t RootSlot::*field);
+
   SluggerState* state_;
   MemoTable* memo_;
+  std::vector<RootSlot> slots_;
 
   // Scan state (BeginScan / MayOverlap / EvaluatePartner).
-  std::vector<uint32_t> mark_epoch_;
   uint32_t epoch_ = 0;
   SupernodeId scan_root_ = kInvalidId;
   uint32_t scan_adj_count_ = 0;
@@ -147,23 +171,15 @@ class MergePlanner {
   SupernodeId scan_family_[3] = {kInvalidId, kInvalidId, kInvalidId};
   SideShape scan_shape_ = SideShape::kLeaf;
   std::vector<ScanEdge> scan_edges_;
+  uint32_t scan_within_ = 0;  // tally of the scan root's within edges
+  uint64_t scan_gain_ = 0;    // bucket gain of the scan root's tallies
 
   // Evaluate scratch.
-  struct CrossEdge {
-    SupernodeId c_root;
-    SupernodeId other;
-    uint8_t f_local;
-    EdgeSign sign;
-  };
+  uint32_t eval_epoch_ = 0;
+  std::vector<ScanEdge> partner_edges_;
   std::vector<Bucket> buckets_;
   size_t buckets_used_ = 0;
   std::vector<MergePlan::SignedEdge> old_within_;
-  std::vector<CrossEdge> cross_edges_;
-  // Per adjacent root, stamped with eval_epoch_: its cross-edge count,
-  // then kBucketFlag | bucket index once its bucket exists.
-  std::vector<uint32_t> root_stamp_;
-  std::vector<uint32_t> root_count_;
-  uint32_t eval_epoch_ = 0;
 };
 
 }  // namespace slugger::core

@@ -21,6 +21,15 @@
 #include "summary/verify.hpp"
 
 namespace slugger::core {
+
+/// Test seam of MergePlanner: moves its scan and evaluation epochs.
+struct MergePlannerTestPeer {
+  static void SetEpochs(MergePlanner* planner, uint32_t epoch) {
+    planner->epoch_ = epoch;
+    planner->eval_epoch_ = epoch;
+  }
+};
+
 namespace {
 
 graph::Graph TwinGraph() {
@@ -306,6 +315,73 @@ TEST(MergePlanner, BoundedScanPicksWhatFullEvaluationPicks) {
   }
 }
 
+TEST(MergePlanner, CancellingGroupsKeepTheirFullCountInTheBound) {
+  // a = {0, 1} carries (a, 2)+ with the n-edges (0, 2) and (1, 2): the
+  // three edges cancel, so their best encoding is empty. As a cross bucket
+  // (partner 3) and as within-family edges (partner 2), the bound must
+  // allow all three to go; a bound that always keeps one edge per group
+  // would fall below the saving.
+  graph::Graph g = graph::Graph::FromEdges(4, {{0, 3}});
+  SluggerState state(g);
+  SupernodeId a = state.MergeRoots(0, 1);
+  state.AddEdge(a, 2, +1);
+  state.AddEdge(0, 2, -1);
+  state.AddEdge(1, 2, -1);
+  ASSERT_TRUE(state.ValidateAggregates());
+  ASSERT_TRUE(summary::VerifyLossless(g, state.summary()).ok());
+  MemoTable memo;
+  MergePlanner planner(&state, &memo);
+  for (SupernodeId z : {SupernodeId{3}, SupernodeId{2}}) {
+    MergePlan plan = planner.Evaluate(a, z);
+    ASSERT_TRUE(plan.valid) << z;
+    EXPECT_EQ(plan.removes.size(), 3u) << z;
+    EXPECT_TRUE(plan.adds.empty()) << z;
+    EXPECT_DOUBLE_EQ(plan.saving, 1.0 / 6.0) << z;
+    EXPECT_LE(plan.saving, plan.saving_bound) << z;
+  }
+}
+
+TEST(MergePlanner, EpochWrapKeepsScansExact) {
+  // Scratch slots carry 32-bit scan and evaluation epochs; a wrap must not
+  // let a stamp from before it read as current. Two disjoint twin graphs
+  // and an isolated node: evaluate (0, 1), move both epochs just below the
+  // wrap, evaluate the far copy's pair across it, then (0, 1) again.
+  // Without clearing, epoch 0 would mark the never-scanned node 10 as
+  // adjacent, and epoch 1 would bring back the first evaluation's tallies
+  // and buckets of roots 2, 3 and 4.
+  std::vector<Edge> edges;
+  for (NodeId base : {0u, 5u}) {
+    for (NodeId x : {0u, 1u}) {
+      for (NodeId y : {1u, 2u, 3u, 4u}) {
+        if (x < y) edges.emplace_back(base + x, base + y);
+      }
+    }
+  }
+  graph::Graph g = graph::Graph::FromEdges(11, edges);
+  SluggerState state(g);
+  MemoTable memo;
+  MergePlanner reference(&state, &memo);
+  MergePlanner planner(&state, &memo);
+  const std::pair<SupernodeId, SupernodeId> pairs[] = {
+      {0, 1}, {5, 6}, {5, 6}, {0, 1}, {0, 2}};
+  for (size_t i = 0; i < std::size(pairs); ++i) {
+    if (i == 1) {
+      MergePlannerTestPeer::SetEpochs(
+          &planner, std::numeric_limits<uint32_t>::max() - 1);
+    }
+    const auto [a, b] = pairs[i];
+    const MergePlan want = reference.Evaluate(a, b);
+    const MergePlan got = planner.Evaluate(a, b);
+    EXPECT_EQ(got.saving_bound, want.saving_bound) << "step " << i;
+    EXPECT_TRUE(SamePlan(got, want)) << "step " << i;
+    for (SupernodeId z = 0; z < g.num_nodes(); ++z) {
+      if (z == a) continue;
+      EXPECT_EQ(planner.MayOverlap(z), reference.MayOverlap(z))
+          << "step " << i << " partner " << z;
+    }
+  }
+}
+
 // ---------------------------------------------------------- candidates
 TEST(CandidateGeneration, GroupsRespectSizeCap) {
   graph::Graph g = gen::Caveman(10, 30, 0.05, 2);
@@ -504,6 +580,8 @@ TEST(Driver, OutputFingerprintsArePinned) {
   // Exact outputs of both engines on a fixed matrix: cost, merges,
   // evaluations and a hash of the serialized summary. A speedup must keep
   // every value; a change that alters outputs on purpose refreshes them.
+  // `bounded` (partners the saving bound cut) pins the bound's strength:
+  // a looser bound fails here; a tighter one refreshes it.
   gen::PlantedHierarchyOptions planted;
   planted.branching = 3;
   planted.depth = 3;
@@ -521,25 +599,26 @@ TEST(Driver, OutputFingerprintsArePinned) {
     uint64_t cost;
     uint64_t merges;
     uint64_t evaluations;
+    uint64_t bounded;
     uint64_t hash;
   };
   const Pin pins[] = {
-      {0, 0, 1, 14935, 318, 347731, 0x702cf207f945178f},
-      {0, 0, 2, 14778, 419, 348245, 0x203e80955f894675},
-      {0, 3, 1, 14940, 313, 347080, 0xa7366d7decc201ad},
-      {0, 3, 2, 14789, 414, 347763, 0xb986b5e1222fbec6},
-      {1, 0, 1, 7997, 84, 44223, 0xf4035d0554406c0e},
-      {1, 0, 2, 7997, 83, 44296, 0x3f3ca92c4ba40274},
-      {1, 3, 1, 7997, 84, 44223, 0xf4035d0554406c0e},
-      {1, 3, 2, 7997, 83, 44296, 0x3f3ca92c4ba40274},
-      {2, 0, 1, 1860, 482, 16021, 0x992aefda32321a1d},
-      {2, 0, 2, 1874, 482, 16292, 0x92f22339c1947546},
-      {2, 3, 1, 1962, 449, 14811, 0xc5f89be546c7e1a3},
-      {2, 3, 2, 1960, 454, 15068, 0xb817fbd3b12f9ec3},
-      {3, 0, 1, 378, 174, 5489, 0x744edcf628ee257f},
-      {3, 0, 2, 379, 177, 5631, 0x9ce3f69072ff650b},
-      {3, 3, 1, 428, 167, 4867, 0x86858c8be35c4659},
-      {3, 3, 2, 436, 165, 4908, 0x4b7b4b98041a4b70},
+      {0, 0, 1, 14935, 318, 347731, 343678, 0x702cf207f945178f},
+      {0, 0, 2, 14778, 419, 348245, 342348, 0x203e80955f894675},
+      {0, 3, 1, 14940, 313, 347080, 343096, 0xa7366d7decc201ad},
+      {0, 3, 2, 14789, 414, 347763, 341979, 0xb986b5e1222fbec6},
+      {1, 0, 1, 7997, 84, 44223, 44117, 0xf4035d0554406c0e},
+      {1, 0, 2, 7997, 83, 44296, 44123, 0x3f3ca92c4ba40274},
+      {1, 3, 1, 7997, 84, 44223, 44117, 0xf4035d0554406c0e},
+      {1, 3, 2, 7997, 83, 44296, 44123, 0x3f3ca92c4ba40274},
+      {2, 0, 1, 1860, 482, 16021, 12350, 0x992aefda32321a1d},
+      {2, 0, 2, 1874, 482, 16292, 12205, 0x92f22339c1947546},
+      {2, 3, 1, 1962, 449, 14811, 11553, 0xc5f89be546c7e1a3},
+      {2, 3, 2, 1960, 454, 15068, 11493, 0xb817fbd3b12f9ec3},
+      {3, 0, 1, 378, 174, 5489, 4834, 0x744edcf628ee257f},
+      {3, 0, 2, 379, 177, 5631, 4769, 0x9ce3f69072ff650b},
+      {3, 3, 1, 428, 167, 4867, 4270, 0x86858c8be35c4659},
+      {3, 3, 2, 436, 165, 4908, 4207, 0x4b7b4b98041a4b70},
   };
   for (const Pin& pin : pins) {
     SCOPED_TRACE(::testing::Message()
@@ -554,6 +633,7 @@ TEST(Driver, OutputFingerprintsArePinned) {
     EXPECT_EQ(r.stats.cost, pin.cost);
     EXPECT_EQ(r.merges, pin.merges);
     EXPECT_EQ(r.evaluations, pin.evaluations);
+    EXPECT_EQ(r.bounded, pin.bounded);
     EXPECT_EQ(Fnv1a(summary::SerializeSummary(r.summary)), pin.hash);
   }
 }
