@@ -242,14 +242,11 @@ const std::vector<NodeId>& CompressedGraph::Neighbors(
   }
   if (ServePaged()) {
     // This overload has no error channel, so a paged I/O or corruption
-    // failure degrades to an empty list; query_errors()/last_status()
-    // record it and the batch APIs surface it.
+    // failure degrades to the empty list the walk leaves behind;
+    // query_errors()/last_status() record it and the batch APIs surface it.
     Obs().paged->Add(1);
     Status served = box_->source->Neighbors(v, scratch, overrides);
-    if (!served.ok()) {
-      box_->RecordError(served);
-      scratch->result.clear();
-    }
+    if (!served.ok()) box_->RecordError(served);
     return scratch->result;
   }
   return summary::QueryNeighbors(ActiveSummary(), v, scratch, overrides);

@@ -101,9 +101,9 @@ class CompressedGraph {
   Status last_status() const;
 
   /// One-hop neighbors of v in the represented graph (paper Algorithm 4;
-  /// never decompresses the whole graph). In-memory handles return them
-  /// in unspecified order; paged handles sorted ascending. The returned
-  /// reference points into *scratch. Safe to call concurrently from many
+  /// never decompresses the whole graph), in unspecified (coverage) order
+  /// on both backends, which share one walk. The returned reference
+  /// points into *scratch. Safe to call concurrently from many
   /// threads, one scratch per thread. An out-of-range v (>= num_nodes())
   /// yields an empty list — never undefined behavior; so does an I/O or
   /// corruption error on the paged path. Callers that need those
@@ -116,7 +116,7 @@ class CompressedGraph {
 
   /// Override-aware overload: `overrides` are per-query edge corrections
   /// following the summary::NeighborOverride contract (sorted by
-  /// neighbor, each a valid node id, v itself ignored). This is how
+  /// neighbor; v itself and ids >= num_nodes() ignored). This is how
   /// DynamicGraph layers its overlay on any base, paged or not.
   const std::vector<NodeId>& Neighbors(
       NodeId v, QueryScratch* scratch,

@@ -210,24 +210,11 @@ StatusOr<const uint8_t*> BufferManager::FetchPread(uint32_t page) {
     it->second.tick = ++clock_;
     return static_cast<const uint8_t*>(it->second.data.get());
   }
-  if (frames_.size() >= max_resident_) {
-    // Evict the least-recently-used unpinned frame.
-    auto victim = frames_.end();
-    for (auto f = frames_.begin(); f != frames_.end(); ++f) {
-      if (f->second.pins == 0 &&
-          (victim == frames_.end() || f->second.tick < victim->second.tick)) {
-        victim = f;
-      }
-    }
-    if (victim == frames_.end()) {
-      return Status::Aborted("all " + std::to_string(max_resident_) +
-                             " buffer frames are pinned");
-    }
-    frames_.erase(victim);
-    evictions_.fetch_add(1, std::memory_order_relaxed);
-    resident_.fetch_sub(1, std::memory_order_relaxed);
-    Obs().evictions->Add(1);
-    Obs().resident->Add(-1);
+  // Make room by evicting unpinned frames. When every frame is pinned the
+  // page goes into an overflow frame instead: a reader never fails for
+  // want of a frame, and the Unpin that leaves the overflow unpinned
+  // shrinks the cache back to max_resident_.
+  while (frames_.size() >= max_resident_ && EvictOneUnpinned()) {
   }
   auto data = std::make_unique<uint8_t[]>(page_size_);
   const uint64_t off = static_cast<uint64_t>(page) * page_size_;
@@ -267,6 +254,24 @@ StatusOr<const uint8_t*> BufferManager::FetchPread(uint32_t page) {
   return ptr;
 }
 
+bool BufferManager::EvictOneUnpinned() {
+  // Least-recently-used first.
+  auto victim = frames_.end();
+  for (auto f = frames_.begin(); f != frames_.end(); ++f) {
+    if (f->second.pins == 0 &&
+        (victim == frames_.end() || f->second.tick < victim->second.tick)) {
+      victim = f;
+    }
+  }
+  if (victim == frames_.end()) return false;
+  frames_.erase(victim);
+  evictions_.fetch_add(1, std::memory_order_relaxed);
+  resident_.fetch_sub(1, std::memory_order_relaxed);
+  Obs().evictions->Add(1);
+  Obs().resident->Add(-1);
+  return true;
+}
+
 void BufferManager::Unpin(uint32_t page) {
   pinned_.fetch_sub(1, std::memory_order_relaxed);
   Obs().pinned->Add(-1);
@@ -274,6 +279,9 @@ void BufferManager::Unpin(uint32_t page) {
     MutexLock lock(&mu_);
     auto it = frames_.find(page);
     if (it != frames_.end() && it->second.pins > 0) it->second.pins--;
+    // Shrink back to the cap: drop overflow frames once unpinned.
+    while (frames_.size() > max_resident_ && EvictOneUnpinned()) {
+    }
   }
 }
 

@@ -6,10 +6,11 @@
 //            per-page verified/bad flag), so a warm fetch is two atomic
 //            ops and no syscall. The OS page cache is the buffer pool.
 //   kPread   bounded fallback for mmap-less environments (and for tests
-//            that need a hard residency cap): an LRU frame cache of at
-//            most max_resident_pages pages, loaded with pread and
-//            re-verified on every load; unpinned frames are evicted in
-//            LRU order when the cache is full.
+//            that need a hard residency cap): an LRU frame cache of
+//            max_resident_pages pages, loaded with pread and re-verified
+//            on every load. A fetch that finds every frame pinned uses an
+//            overflow frame, evicted once unpinned: residency stays
+//            within max_resident_pages plus the pages pinned right then.
 //   kMemory  the file image lives in an owned buffer (OpenBuffer path);
 //            verify-once like mmap.
 //
@@ -17,8 +18,7 @@
 // number of threads concurrently. The mmap/memory backends are lock-free
 // (atomics only); the pread backend serializes on one mutex. A PageRef
 // keeps its page's bytes valid and immutable until released — the pread
-// backend never evicts a pinned frame (it returns Aborted if every frame
-// is pinned and a new page is needed).
+// backend never evicts a pinned frame (it overflows instead, see above).
 //
 // Checksums come from the file's page table; an entry of zero means "not
 // covered here" (the header and page-table pages, which the header's own
@@ -122,8 +122,8 @@ class BufferManager {
   BufferManager& operator=(const BufferManager&) = delete;
 
   /// Pins `page` and returns a ref to its bytes. Corruption on checksum
-  /// mismatch, IOError on a failed read, Aborted when the pread cache is
-  /// full of pins, InvalidArgument on an out-of-range page.
+  /// mismatch, IOError on a failed read, InvalidArgument on an
+  /// out-of-range page.
   StatusOr<PageRef> Fetch(uint32_t page);
 
   uint32_t num_pages() const { return num_pages_; }
@@ -136,6 +136,9 @@ class BufferManager {
   BufferManager() = default;
 
   void Unpin(uint32_t page) SLUGGER_REQUIRES(!mu_);
+  /// Drops the least-recently-used unpinned pread frame; false if every
+  /// frame is pinned.
+  bool EvictOneUnpinned() SLUGGER_REQUIRES(mu_);
   StatusOr<const uint8_t*> FetchDirect(uint32_t page);  ///< mmap/memory
   StatusOr<const uint8_t*> FetchPread(uint32_t page) SLUGGER_REQUIRES(!mu_);
 

@@ -14,6 +14,7 @@
 #include <utility>
 
 #include "obs/metrics.hpp"
+#include "summary/coverage_walk.hpp"
 
 namespace slugger::storage {
 
@@ -32,17 +33,6 @@ struct RecordCacheObsHandles {
 const RecordCacheObsHandles& RecordCacheObs() {
   static RecordCacheObsHandles handles;
   return handles;
-}
-
-/// Mirrors the override dominance constant of summary/neighbor_query.cpp:
-/// large enough to out-vote any real net coverage on a pair.
-constexpr int32_t kForcedCoverage = INT32_MAX / 2;
-
-/// Restores the between-queries scratch invariant after a walk, complete
-/// or aborted: zero counts over touched, clear touched.
-void ResetScratch(summary::QueryScratch* scratch) {
-  for (NodeId u : scratch->touched) scratch->count[u] = 0;
-  scratch->touched.clear();
 }
 
 /// Varint cursor over the record stream, following it across page
@@ -97,6 +87,20 @@ class RecordCursor {
   uint64_t pos_;
   PageRef page_;
 };
+
+/// The batch walk with this thread's chain buffer: its record pins drop
+/// after every batch, its capacity stays (no allocation once warm).
+template <bool kDegreesOnly, typename Records>
+Status WalkPagedBatch(const Records& records, std::span<const NodeId> nodes,
+                      summary::BatchResult* result,
+                      std::vector<uint64_t>* degrees,
+                      summary::BatchScratch* scratch) {
+  thread_local std::vector<typename Records::Handle> chains;
+  Status status = summary::WalkBatch<kDegreesOnly>(records, nodes, result,
+                                                   degrees, scratch, &chains);
+  chains.clear();
+  return status;
+}
 
 Status FullPread(int fd, uint8_t* out, size_t n, uint64_t off,
                  const std::string& what) {
@@ -259,7 +263,7 @@ StatusOr<uint64_t> PagedSummarySource::LocateRecord(uint32_t fid) const {
 }
 
 StatusOr<PagedSummarySource::DecodedRecord> PagedSummarySource::ParseRecord(
-    uint32_t fid, uint64_t pos, uint64_t* consumed) const {
+    uint32_t fid, uint64_t pos) const {
   RecordCursor cur(buffer_.get(), header_, pos);
   const uint64_t total = header_.total_supernodes();
   const NodeId n = header_.num_leaves;
@@ -320,7 +324,7 @@ StatusOr<PagedSummarySource::DecodedRecord> PagedSummarySource::ParseRecord(
   }
   // The hot path stops here: children are only needed by Materialize,
   // which parses the stream sequentially itself.
-  if (consumed != nullptr) *consumed = cur.pos() - pos;
+  rec.bytes = cur.pos() - pos;
   return rec;
 }
 
@@ -338,7 +342,7 @@ PagedSummarySource::FetchRecord(uint32_t fid) const {
   RecordCacheObs().misses->Add(1);
   StatusOr<uint64_t> pos = LocateRecord(fid);
   if (!pos.ok()) return pos.status();
-  StatusOr<DecodedRecord> rec = ParseRecord(fid, pos.value(), nullptr);
+  StatusOr<DecodedRecord> rec = ParseRecord(fid, pos.value());
   if (!rec.ok()) return rec.status();
   auto ptr =
       std::make_shared<const DecodedRecord>(std::move(rec).value());
@@ -382,262 +386,129 @@ Status PagedSummarySource::ForLeafRange(uint32_t lo, uint32_t len,
   return Status::OK();
 }
 
-Status PagedSummarySource::AccumulatePaged(
-    NodeId v, summary::QueryScratch* scratch) const {
-  if (scratch->count.size() < header_.num_leaves) {
-    scratch->count.resize(header_.num_leaves, 0);
-  }
-  const uint64_t total = header_.total_supernodes();
-  uint64_t iters = 0;
-  uint32_t node = v;
-  while (node != kInvalidId) {
-    if (++iters > total) {
-      return Status::Corruption("parent cycle in paged hierarchy");
+class PagedSummarySource::Records {
+ public:
+  /// One ancestor: its id (what chain reuse compares) and its decoded
+  /// record, held so covering it never fetches the record again.
+  struct Handle {
+    uint32_t fid;
+    std::shared_ptr<const DecodedRecord> record;
+    friend bool operator==(const Handle& a, const Handle& b) {
+      return a.fid == b.fid;
     }
-    StatusOr<std::shared_ptr<const DecodedRecord>> rec = FetchRecord(node);
-    if (!rec.ok()) return rec.status();
-    for (const DecodedEdge& e : rec.value()->edges) {
-      Status s = ForLeafRange(e.olo, e.olen, [&](NodeId u) {
-        if (scratch->count[u] == 0) scratch->touched.push_back(u);
-        scratch->count[u] += e.sign;
-      });
+  };
+
+  explicit Records(const PagedSummarySource* source) : source_(source) {}
+
+  NodeId num_leaves() const { return source_->header_.num_leaves; }
+
+  /// Reads the rank section; each rank is bounded before it is used.
+  template <typename Fn>
+  Status ForEachRank(std::span<const NodeId> nodes, Fn&& fn) const {
+    const PagedHeader& h = source_->header_;
+    const uint64_t epp = h.page_size / kRankStride;
+    PageRef page;  // pinned only while ranking
+    for (size_t i = 0; i < nodes.size(); ++i) {
+      const uint32_t pg =
+          h.rank.first_page + static_cast<uint32_t>(nodes[i] / epp);
+      if (!page || page.page() != pg) {
+        StatusOr<PageRef> ref = source_->buffer_->Fetch(pg);
+        if (!ref.ok()) return ref.status();
+        page = std::move(ref.value());
+      }
+      const uint32_t rank =
+          GetLE32(page.data() + (nodes[i] % epp) * kRankStride);
+      if (rank >= h.num_leaves) {
+        return Status::Corruption("rank entry out of range");
+      }
+      fn(i, rank);
+    }
+    return Status::OK();
+  }
+
+  /// Climbs the parent links the records claim. They are untrusted, so
+  /// the climb is bounded by the supernode count: a forged cycle is
+  /// Corruption, never a hang.
+  template <typename Fn>
+  Status ForEachAncestor(NodeId v, Fn&& fn) const {
+    const uint64_t total = source_->header_.total_supernodes();
+    uint64_t iters = 0;
+    uint32_t node = v;
+    while (node != kInvalidId) {
+      if (++iters > total) {
+        return Status::Corruption("parent cycle in paged hierarchy");
+      }
+      StatusOr<std::shared_ptr<const DecodedRecord>> rec =
+          source_->FetchRecord(node);
+      if (!rec.ok()) return rec.status();
+      const uint32_t parent = rec.value()->parent;
+      Status s = fn(Handle{node, std::move(rec).value()});
+      if (!s.ok()) return s;
+      node = parent;
+    }
+    return Status::OK();
+  }
+
+  template <typename Fn>
+  Status ForEachCovered(const Handle& node, Fn&& fn) const {
+    for (const DecodedEdge& e : node.record->edges) {
+      const EdgeSign sign = static_cast<EdgeSign>(e.sign);
+      Status s = source_->ForLeafRange(e.olo, e.olen,
+                                       [&](NodeId u) { fn(u, sign); });
       if (!s.ok()) return s;
     }
-    node = rec.value()->parent;
+    return Status::OK();
   }
-  return Status::OK();
-}
+
+ private:
+  const PagedSummarySource* source_;
+};
 
 Status PagedSummarySource::Neighbors(
     NodeId v, summary::QueryScratch* scratch,
     std::span<const summary::NeighborOverride> overrides) const {
-  if (v >= header_.num_leaves) {
-    return Status::InvalidArgument("node id " + std::to_string(v) +
-                                   " out of range");
-  }
-  scratch->result.clear();
-  Status s = AccumulatePaged(v, scratch);
-  if (!s.ok()) {
-    ResetScratch(scratch);
-    return s;
-  }
-  for (const summary::NeighborOverride& o : overrides) {
-    if (o.neighbor >= header_.num_leaves) continue;
-    if (scratch->count[o.neighbor] == 0) scratch->touched.push_back(o.neighbor);
-    scratch->count[o.neighbor] =
-        o.sign > 0 ? kForcedCoverage : -kForcedCoverage;
-  }
-  for (NodeId u : scratch->touched) {
-    if (scratch->count[u] > 0 && u != v) scratch->result.push_back(u);
-    scratch->count[u] = 0;
-  }
-  scratch->touched.clear();
-  std::sort(scratch->result.begin(), scratch->result.end());
-  return Status::OK();
+  return summary::WalkQuery<false>(Records(this), v, scratch, overrides,
+                                   nullptr);
 }
 
 StatusOr<uint64_t> PagedSummarySource::Degree(
     NodeId v, summary::QueryScratch* scratch,
     std::span<const summary::NeighborOverride> overrides) const {
-  if (v >= header_.num_leaves) {
-    return Status::InvalidArgument("node id " + std::to_string(v) +
-                                   " out of range");
-  }
-  Status s = AccumulatePaged(v, scratch);
-  if (!s.ok()) {
-    ResetScratch(scratch);
-    return s;
-  }
-  for (const summary::NeighborOverride& o : overrides) {
-    if (o.neighbor >= header_.num_leaves) continue;
-    if (scratch->count[o.neighbor] == 0) scratch->touched.push_back(o.neighbor);
-    scratch->count[o.neighbor] =
-        o.sign > 0 ? kForcedCoverage : -kForcedCoverage;
-  }
   uint64_t degree = 0;
-  for (NodeId u : scratch->touched) {
-    degree += scratch->count[u] > 0 && u != v;
-    scratch->count[u] = 0;
-  }
-  scratch->touched.clear();
+  Status s =
+      summary::WalkQuery<true>(Records(this), v, scratch, overrides, &degree);
+  if (!s.ok()) return s;
   return degree;
-}
-
-StatusOr<uint32_t> PagedSummarySource::RankOf(NodeId v,
-                                              PageRef* cached) const {
-  const uint64_t epp = header_.page_size / kRankStride;
-  const uint32_t pg =
-      header_.rank.first_page + static_cast<uint32_t>(v / epp);
-  if (!*cached || cached->page() != pg) {
-    StatusOr<PageRef> ref = buffer_->Fetch(pg);
-    if (!ref.ok()) return ref.status();
-    *cached = std::move(ref.value());
-  }
-  const uint32_t r = GetLE32(cached->data() + (v % epp) * kRankStride);
-  if (r >= header_.num_leaves) {
-    return Status::Corruption("rank entry out of range");
-  }
-  return r;
-}
-
-template <bool kDegreesOnly>
-Status PagedSummarySource::RunPagedBatch(
-    std::span<const NodeId> nodes, summary::BatchResult* result,
-    std::vector<uint64_t>* degrees, summary::BatchScratch* s) const {
-  const size_t batch = nodes.size();
-  if constexpr (kDegreesOnly) {
-    degrees->assign(batch, 0);
-  } else {
-    result->neighbors.clear();
-    result->offsets.assign(batch + 1, 0);
-  }
-  if (batch == 0) return Status::OK();
-  for (NodeId v : nodes) {
-    if (v >= header_.num_leaves) {
-      return Status::InvalidArgument("node id " + std::to_string(v) +
-                                     " out of range");
-    }
-  }
-  const auto fail = [&](Status st) {
-    ResetScratch(&s->query);
-    if constexpr (kDegreesOnly) {
-      degrees->clear();
-    } else {
-      result->neighbors.clear();
-      result->offsets.clear();
-    }
-    return st;
-  };
-
-  // Sort the batch by the file's leaf preorder so consecutive nodes share
-  // record and leaf_at pages; `chains` doubles as the per-position rank
-  // buffer (it is a plain uint32 scratch vector).
-  s->chains.resize(batch);
-  {
-    PageRef cached;
-    for (size_t i = 0; i < batch; ++i) {
-      StatusOr<uint32_t> r = RankOf(nodes[i], &cached);
-      if (!r.ok()) return fail(r.status());
-      s->chains[i] = r.value();
-    }
-  }
-  s->order.resize(batch);
-  std::iota(s->order.begin(), s->order.end(), 0u);
-  std::sort(s->order.begin(), s->order.end(),
-            [s](uint32_t a, uint32_t b) {
-              if (s->chains[a] != s->chains[b]) {
-                return s->chains[a] < s->chains[b];
-              }
-              return a < b;
-            });
-
-  summary::QueryScratch& q = s->query;
-  if (q.count.size() < header_.num_leaves) {
-    q.count.resize(header_.num_leaves, 0);
-  }
-  if constexpr (!kDegreesOnly) {
-    s->staged.clear();
-    s->staged_begin.assign(1, 0);
-  }
-
-  for (size_t k = 0; k < batch; ++k) {
-    const uint32_t i = s->order[k];
-    const NodeId v = nodes[i];
-    // Duplicates sort adjacently; copy the previous answer.
-    if (k > 0 && nodes[s->order[k - 1]] == v) {
-      if constexpr (kDegreesOnly) {
-        (*degrees)[i] = (*degrees)[s->order[k - 1]];
-      } else {
-        const uint64_t prev_b = s->staged_begin[k - 1];
-        const uint64_t prev_e = s->staged_begin[k];
-        const size_t old_size = s->staged.size();
-        s->staged.resize(old_size + (prev_e - prev_b));
-        std::copy(s->staged.begin() + prev_b, s->staged.begin() + prev_e,
-                  s->staged.begin() + old_size);
-        s->staged_begin.push_back(s->staged.size());
-      }
-      continue;
-    }
-    Status st = AccumulatePaged(v, &q);
-    if (!st.ok()) return fail(st);
-    if constexpr (kDegreesOnly) {
-      uint64_t degree = 0;
-      for (NodeId u : q.touched) {
-        degree += q.count[u] > 0 && u != v;
-        q.count[u] = 0;
-      }
-      q.touched.clear();
-      (*degrees)[i] = degree;
-    } else {
-      const size_t start = s->staged.size();
-      for (NodeId u : q.touched) {
-        if (q.count[u] > 0 && u != v) s->staged.push_back(u);
-        q.count[u] = 0;
-      }
-      q.touched.clear();
-      std::sort(s->staged.begin() + start, s->staged.end());
-      s->staged_begin.push_back(s->staged.size());
-    }
-  }
-
-  if constexpr (!kDegreesOnly) {
-    // Staged answers are in processing order; emit them in input order.
-    for (size_t k = 0; k < batch; ++k) {
-      result->offsets[s->order[k] + 1] =
-          s->staged_begin[k + 1] - s->staged_begin[k];
-    }
-    for (size_t i = 0; i < batch; ++i) {
-      result->offsets[i + 1] += result->offsets[i];
-    }
-    result->neighbors.resize(s->staged.size());
-    for (size_t k = 0; k < batch; ++k) {
-      std::copy(s->staged.begin() + s->staged_begin[k],
-                s->staged.begin() + s->staged_begin[k + 1],
-                result->neighbors.begin() + result->offsets[s->order[k]]);
-    }
-  }
-  return Status::OK();
 }
 
 Status PagedSummarySource::NeighborsBatch(std::span<const NodeId> nodes,
                                           summary::BatchResult* result,
                                           summary::BatchScratch* scratch)
     const {
-  return RunPagedBatch<false>(nodes, result, nullptr, scratch);
+  return WalkPagedBatch<false>(Records(this), nodes, result, nullptr,
+                               scratch);
 }
 
 Status PagedSummarySource::DegreeBatch(std::span<const NodeId> nodes,
                                        std::vector<uint64_t>* degrees,
                                        summary::BatchScratch* scratch) const {
-  return RunPagedBatch<true>(nodes, nullptr, degrees, scratch);
+  return WalkPagedBatch<true>(Records(this), nodes, nullptr, degrees,
+                              scratch);
 }
 
 StatusOr<ChainInfo> PagedSummarySource::ChainOf(NodeId v) const {
-  if (v >= header_.num_leaves) {
-    return Status::InvalidArgument("node id " + std::to_string(v) +
-                                   " out of range");
-  }
+  if (v >= header_.num_leaves) return summary::NodeOutOfRange(v);
   ChainInfo info;
-  const uint64_t total = header_.total_supernodes();
-  uint64_t iters = 0;
-  uint32_t node = v;
-  while (node != kInvalidId) {
-    if (++iters > total) {
-      return Status::Corruption("parent cycle in paged hierarchy");
-    }
-    StatusOr<uint64_t> pos = LocateRecord(node);
-    if (!pos.ok()) return pos.status();
-    uint64_t consumed = 0;
-    StatusOr<DecodedRecord> rec = ParseRecord(node, pos.value(), &consumed);
-    if (!rec.ok()) return rec.status();
+  Status s = Records(this).ForEachAncestor(v, [&](Records::Handle node) {
     info.chain_len++;
-    info.chain_bytes += consumed;
-    info.num_edges += rec.value().edges.size();
-    for (const DecodedEdge& e : rec.value().edges) {
+    info.chain_bytes += node.record->bytes;
+    info.num_edges += node.record->edges.size();
+    for (const DecodedEdge& e : node.record->edges) {
       info.covered_leaves += e.olen;
     }
-    node = rec.value().parent;
-  }
+    return Status::OK();
+  });
+  if (!s.ok()) return s;
   return info;
 }
 
@@ -833,15 +704,14 @@ StatusOr<summary::SummaryGraph> PagedSummarySource::MaterializeImpl() const {
   // The rank and leaf_at sections must agree with the records: rank is
   // the interval start of each leaf, and leaf_at is its inverse.
   {
+    std::vector<NodeId> leaves(n);
+    std::iota(leaves.begin(), leaves.end(), NodeId{0});
     std::vector<uint32_t> ranks(n);
-    PageRef cached;
-    for (NodeId v = 0; v < n; ++v) {
-      StatusOr<uint32_t> r = RankOf(v, &cached);
-      if (!r.ok()) return r.status();
-      if (r.value() != lo[v]) {
-        return Status::Corruption("rank section disagrees with records");
-      }
-      ranks[v] = r.value();
+    Status ranked = Records(this).ForEachRank(
+        leaves, [&ranks](size_t v, uint32_t rank) { ranks[v] = rank; });
+    if (!ranked.ok()) return ranked;
+    if (!std::equal(ranks.begin(), ranks.end(), lo.begin())) {
+      return Status::Corruption("rank section disagrees with records");
     }
     uint32_t at = 0;
     bool inverse_ok = true;

@@ -14,6 +14,10 @@
 // index anything, parent walks carry a cycle guard, and all failures
 // surface as Status (Corruption/IOError), never a crash.
 //
+// Queries instantiate the one Algorithm-4 walk (summary/coverage_walk.hpp)
+// over the records, chain reuse and duplicate copy included; neighbor
+// lists come out in coverage order, unspecified as in memory.
+//
 // Thread-safety: all query methods are const and safe to call from any
 // number of threads concurrently, provided each caller brings its own
 // scratch — the same contract as summary::QueryNeighbors. The decoded-
@@ -79,9 +83,11 @@ class PagedSummarySource {
   BufferStats buffer_stats() const { return buffer_->stats(); }
   Io backend() const { return buffer_->backend(); }
 
-  /// Neighbors of v, sorted ascending, left in scratch->result.
+  /// Neighbors of v, in unspecified order, left in scratch->result.
   /// `overrides` follow the summary::NeighborOverride contract (sorted by
-  /// neighbor, each a valid subnode, v itself ignored).
+  /// neighbor; v itself and ids >= num_leaves() ignored). InvalidArgument
+  /// if v >= num_leaves(); on any error scratch->result is empty and the
+  /// scratch stays reusable.
   Status Neighbors(NodeId v, summary::QueryScratch* scratch,
                    std::span<const summary::NeighborOverride> overrides = {})
       const;
@@ -90,10 +96,10 @@ class PagedSummarySource {
       NodeId v, summary::QueryScratch* scratch,
       std::span<const summary::NeighborOverride> overrides = {}) const;
 
-  /// Batched neighbors in input order (duplicates allowed; a repeated
-  /// node's answer is copied, not recomputed). Processes the batch in
-  /// file-preorder so consecutive nodes share record pages. On error the
-  /// result is emptied. Each per-node list is sorted ascending.
+  /// summary::QueryNeighborsBatch off the pages: processed in file
+  /// preorder, so consecutive nodes share record pages and ancestor
+  /// coverage. On error the result is emptied and the scratch stays
+  /// reusable.
   Status NeighborsBatch(std::span<const NodeId> nodes,
                         summary::BatchResult* result,
                         summary::BatchScratch* scratch) const;
@@ -109,8 +115,8 @@ class PagedSummarySource {
   /// the analytics path: decode/PageRank/BFS need the whole summary.
   StatusOr<summary::SummaryGraph> Materialize() const;
 
-  /// Page-budget accounting of v's ancestor chain (bypasses the record
-  /// cache so the figures reflect the file, not the cache).
+  /// Page-budget accounting of v's ancestor chain, climbed as the walk
+  /// climbs it.
   StatusOr<ChainInfo> ChainOf(NodeId v) const;
 
  private:
@@ -124,6 +130,7 @@ class PagedSummarySource {
     uint32_t parent = kInvalidId;  ///< fid of the parent, kInvalidId = root
     uint32_t lo = 0;
     uint32_t len = 0;
+    uint64_t bytes = 0;  ///< encoded size in the record stream
     std::vector<DecodedEdge> edges;
   };
 
@@ -142,10 +149,8 @@ class PagedSummarySource {
   StatusOr<uint64_t> LocateRecord(uint32_t fid) const;
 
   /// Parses the hot-path slice of the record at stream position `pos`,
-  /// which must belong to `fid`. `consumed` (optional) receives the
-  /// parsed byte count.
-  StatusOr<DecodedRecord> ParseRecord(uint32_t fid, uint64_t pos,
-                                      uint64_t* consumed) const;
+  /// which must belong to `fid`.
+  StatusOr<DecodedRecord> ParseRecord(uint32_t fid, uint64_t pos) const;
 
   /// Cached fid -> decoded record.
   StatusOr<std::shared_ptr<const DecodedRecord>> FetchRecord(
@@ -155,18 +160,9 @@ class PagedSummarySource {
   template <typename Fn>
   Status ForLeafRange(uint32_t lo, uint32_t len, Fn&& fn) const;
 
-  /// The coverage pass of Algorithm 4 against the paged records; on error
-  /// the scratch may hold partial counts (caller resets).
-  Status AccumulatePaged(NodeId v, summary::QueryScratch* scratch) const;
-
-  /// Preorder rank of leaf v from the rank section.
-  StatusOr<uint32_t> RankOf(NodeId v, PageRef* cached) const;
-
-  template <bool kDegreesOnly>
-  Status RunPagedBatch(std::span<const NodeId> nodes,
-                       summary::BatchResult* result,
-                       std::vector<uint64_t>* degrees,
-                       summary::BatchScratch* scratch) const;
+  /// The coverage walk's view of this file: ranks, ancestor records with
+  /// the parent-cycle guard, and the leaf_at runs their edges cover.
+  class Records;
 
   StatusOr<summary::SummaryGraph> MaterializeImpl() const;
 

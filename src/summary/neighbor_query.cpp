@@ -1,295 +1,104 @@
 #include "summary/neighbor_query.hpp"
 
-#include <algorithm>
 #include <cassert>
-#include <numeric>
 
 #include "obs/metrics.hpp"
+#include "summary/coverage_walk.hpp"
 
 namespace slugger::summary {
 
-/// The shared coverage pass of Algorithm 4: walks the ancestor chain of v
-/// (including the leaf {v} itself) and applies each incident superedge's
-/// signed coverage to scratch->count, recording touched subnodes. Reads
-/// only the summary (via the caller-owned traversal stack), so concurrent
-/// invocations with distinct scratches are race-free.
-void AccumulateCoverage(const SummaryGraph& summary, NodeId v,
-                        QueryScratch* scratch) {
-  assert(v < summary.num_leaves());
-  if (scratch->count.size() < summary.num_leaves()) {
-    scratch->count.resize(summary.num_leaves(), 0);
-  }
-  const HierarchyForest& forest = summary.forest();
-  SupernodeId node = v;
-  while (node != kInvalidId) {
-    summary.ForEachEdgeOf(node, [&](SupernodeId other, EdgeSign sign) {
-      forest.ForEachLeafWith(&scratch->stack, other, [&](NodeId u) {
-        if (scratch->count[u] == 0 && sign != 0) scratch->touched.push_back(u);
-        scratch->count[u] += sign;
-      });
-    });
-    node = forest.Parent(node);
-  }
-}
-
 namespace {
 
-/// Coverage magnitude that dominates any real summary's net on a pair, so
-/// an override decides presence no matter what the walk accumulated. Net
-/// coverage is bounded by the superedge count, far below INT32_MAX / 2.
-constexpr int32_t kForcedCoverage = INT32_MAX / 2;
+/// The walk's view of an in-memory summary: parent pointers, and endpoint
+/// leaves expanded on the caller's traversal stack (so concurrent walks
+/// with distinct scratches are race-free).
+class SummaryRecords {
+ public:
+  using Handle = SupernodeId;
 
-/// Merges overlay corrections into an accumulated coverage: after this,
-/// the normal positive-net extraction emits exactly the corrected
-/// adjacency. Duplicates in touched are benign — extraction zeroes each
-/// count on first visit, so revisits contribute nothing.
-void ApplyOverrides(std::span<const NeighborOverride> overrides,
-                    QueryScratch* scratch) {
-  for (const NeighborOverride& o : overrides) {
-    if (scratch->count[o.neighbor] == 0) scratch->touched.push_back(o.neighbor);
-    scratch->count[o.neighbor] =
-        o.sign > 0 ? kForcedCoverage : -kForcedCoverage;
+  SummaryRecords(const SummaryGraph& summary, std::vector<SupernodeId>* stack,
+                 const std::vector<uint32_t>* leaf_rank = nullptr)
+      : summary_(summary), stack_(stack), leaf_rank_(leaf_rank) {}
+
+  NodeId num_leaves() const { return summary_.num_leaves(); }
+
+  template <typename Fn>
+  Status ForEachRank(std::span<const NodeId> nodes, Fn&& fn) const {
+    const std::vector<uint32_t>& rank = *leaf_rank_;
+    for (size_t i = 0; i < nodes.size(); ++i) fn(i, rank[nodes[i]]);
+    return Status::OK();
   }
-}
 
-/// Applies (dir = +1) or retracts (dir = -1) the coverage contribution of
-/// one ancestor to the batch scratch. Unlike AccumulateCoverage this keeps
-/// an explicit membership flag per touched subnode: counts move both ways
-/// across a batch, so "count just became nonzero" no longer implies "first
-/// time seen" and duplicates in the touched list would double-report.
-void ApplyAncestorCoverage(const SummaryGraph& summary, SupernodeId node,
-                           int32_t dir, BatchScratch* s) {
-  const HierarchyForest& forest = summary.forest();
-  QueryScratch& q = s->query;
-  summary.ForEachEdgeOf(node, [&](SupernodeId other, EdgeSign sign) {
-    forest.ForEachLeafWith(&q.stack, other, [&](NodeId u) {
-      if (!s->in_touched[u]) {
-        s->in_touched[u] = 1;
-        q.touched.push_back(u);
-      }
-      q.count[u] += dir * sign;
+  template <typename Fn>
+  Status ForEachAncestor(NodeId v, Fn&& fn) const {
+    const HierarchyForest& forest = summary_.forest();
+    for (SupernodeId node = v; node != kInvalidId; node = forest.Parent(node)) {
+      Status s = fn(SupernodeId{node});
+      if (!s.ok()) return s;
+    }
+    return Status::OK();
+  }
+
+  template <typename Fn>
+  Status ForEachCovered(SupernodeId node, Fn&& fn) const {
+    const HierarchyForest& forest = summary_.forest();
+    summary_.ForEachEdgeOf(node, [&](SupernodeId other, EdgeSign sign) {
+      forest.ForEachLeafWith(stack_, other, [&](NodeId u) { fn(u, sign); });
     });
-  });
-}
-
-/// Zeroes every coverage counter and membership flag in O(|touched|),
-/// restoring the between-queries invariant without re-walking superedges.
-void ResetCoverage(BatchScratch* s) {
-  QueryScratch& q = s->query;
-  for (NodeId u : q.touched) {
-    q.count[u] = 0;
-    s->in_touched[u] = 0;
+    return Status::OK();
   }
-  q.touched.clear();
-  s->applied.clear();
-}
 
-// How often the batch walk amortizes work: chain reuse (retract only the
-// divergent ancestor suffix), full resets, and duplicate-node copy hits.
-// Updated once per batch from local tallies — never per node.
-struct BatchObs {
-  obs::Counter* chain_reuse = obs::MetricsRegistry::Global().GetCounter(
-      "slugger_query_chain_reuse_total",
-      "batch nodes that kept a shared ancestor-chain prefix applied");
-  obs::Counter* chain_reset = obs::MetricsRegistry::Global().GetCounter(
-      "slugger_query_chain_reset_total",
-      "batch nodes that discarded coverage (single-query strategy)");
-  obs::Counter* dup_hits = obs::MetricsRegistry::Global().GetCounter(
-      "slugger_query_batch_dup_hits_total",
-      "batch nodes answered by copying the previous duplicate's answer");
+ private:
+  const SummaryGraph& summary_;
+  std::vector<SupernodeId>* stack_;
+  const std::vector<uint32_t>* leaf_rank_;
 };
 
-const BatchObs& Obs() {
-  static BatchObs handles;
-  return handles;
+/// The records a batch walks: ranks come from `leaf_rank`, rebuilt into
+/// s->preorder (an extra O(|summary|)) when the caller has none and the
+/// batch still needs sorting.
+SummaryRecords BatchRecords(const SummaryGraph& summary, BatchScratch* s,
+                            const std::vector<uint32_t>* leaf_rank,
+                            std::span<const uint32_t> precomputed_order) {
+  if (leaf_rank == nullptr && precomputed_order.empty()) {
+    s->preorder = summary.forest().ComputeLeafPreorder();
+    leaf_rank = &s->preorder;
+  }
+  return SummaryRecords(summary, &s->query.stack, leaf_rank);
 }
 
-/// One pass for both batch flavors; kDegreesOnly skips materialization.
-template <bool kDegreesOnly>
-void RunBatch(const SummaryGraph& summary, std::span<const NodeId> nodes,
-              BatchResult* result, std::vector<uint64_t>* degrees,
-              BatchScratch* s, const std::vector<uint32_t>* leaf_rank,
-              std::span<const uint32_t> precomputed_order) {
-  const size_t batch = nodes.size();
-  if constexpr (kDegreesOnly) {
-    degrees->assign(batch, 0);
-  } else {
-    result->neighbors.clear();
-    result->offsets.assign(batch + 1, 0);
-  }
-  if (batch == 0) return;
-
-  QueryScratch& q = s->query;
-  if (q.count.size() < summary.num_leaves()) {
-    q.count.resize(summary.num_leaves(), 0);
-  }
-  if (s->in_touched.size() < summary.num_leaves()) {
-    s->in_touched.resize(summary.num_leaves(), 0);
-  }
-
-  ComputeBatchOrder(summary, nodes, s, leaf_rank, precomputed_order);
-  s->applied.clear();
-  if constexpr (!kDegreesOnly) {
-    s->staged.clear();
-    s->staged_begin.assign(1, 0);
-  }
-
-  // Shared-prefix length of the node at position k+1's chain against the
-  // chain starting at chain_b (length chain_len); 0 for the last node.
-  const auto prefix_shared_with_next = [s, batch](size_t k, uint64_t chain_b,
-                                                  size_t chain_len) {
-    if (k + 1 >= batch) return size_t{0};
-    const uint64_t next_b = s->chain_begin[s->order[k + 1]];
-    const size_t next_len = s->chain_begin[s->order[k + 1] + 1] - next_b;
-    size_t n = 0;
-    while (n < chain_len && n < next_len &&
-           s->chains[next_b + n] == s->chains[chain_b + n]) {
-      ++n;
-    }
-    return n;
-  };
-
-  // Shared-prefix length of the current chain against the applied one,
-  // carried from the peek at the bottom of the previous iteration (0
-  // whenever that peek chose to reset the coverage).
-  size_t common = 0;
-  uint64_t obs_reuse = 0, obs_reset = 0, obs_dup = 0;
-  for (size_t k = 0; k < batch; ++k) {
-    const uint32_t i = s->order[k];
-    const NodeId v = nodes[i];
-    const uint64_t chain_b = s->chain_begin[i];
-    const size_t chain_len = s->chain_begin[i + 1] - chain_b;
-
-    // Duplicates sort adjacently (ties break by position), and a
-    // repeated node's answer is identical — copy it instead of
-    // re-scanning the coverage. Hot nodes make this common in real
-    // serving batches.
-    if (k > 0 && nodes[s->order[k - 1]] == v) {
-      ++obs_dup;
-      if constexpr (kDegreesOnly) {
-        (*degrees)[i] = (*degrees)[s->order[k - 1]];
-      } else {
-        const uint64_t prev_b = s->staged_begin[k - 1];
-        const uint64_t prev_e = s->staged_begin[k];
-        const size_t old_size = s->staged.size();
-        s->staged.resize(old_size + (prev_e - prev_b));
-        std::copy(s->staged.begin() + prev_b, s->staged.begin() + prev_e,
-                  s->staged.begin() + old_size);
-        s->staged_begin.push_back(s->staged.size());
-      }
-      // The skipped extraction also skipped the keep-or-reset peek; redo
-      // it here so `common` stays the prefix of the NEXT chain against
-      // the applied stack (which this fast path left untouched).
-      const size_t next_common = prefix_shared_with_next(k, chain_b, chain_len);
-      if (2 * next_common > chain_len && !s->applied.empty()) {
-        common = next_common;
-      } else {
-        ResetCoverage(s);
-        common = 0;
-      }
-      continue;
-    }
-
-    // Keep the longest ancestor-chain prefix shared with the previous
-    // node applied; retract only the divergent suffix and apply the new
-    // one. (After a reset below, `applied` is empty and this degenerates
-    // to a full application — the single-query cost.)
-    while (s->applied.size() > common) {
-      ApplyAncestorCoverage(summary, s->applied.back(), -1, s);
-      s->applied.pop_back();
-    }
-    for (size_t d = common; d < chain_len; ++d) {
-      const SupernodeId node = s->chains[chain_b + d];
-      ApplyAncestorCoverage(summary, node, +1, s);
-      s->applied.push_back(node);
-    }
-
-    // Peek at the next node's chain: retracting level by level pays off
-    // only when more than half of this chain stays applied (retraction
-    // walks superedges; zeroing counters in the extraction scan below is
-    // nearly free). Otherwise extraction destroys the coverage as it
-    // reads it — one pass, exactly the single-query strategy.
-    const size_t next_common = prefix_shared_with_next(k, chain_b, chain_len);
-    const bool keep_applied = 2 * next_common > chain_len;
-
-    if (keep_applied) {
-      ++obs_reuse;
-    } else {
-      ++obs_reset;
-    }
-
-    uint64_t degree = 0;
-    if (keep_applied) {
-      // Extract positive-net subnodes, compacting entries whose coverage
-      // cancelled back to zero so the touched list keeps tracking exactly
-      // the currently applied chain.
-      size_t w = 0;
-      for (size_t t = 0; t < q.touched.size(); ++t) {
-        const NodeId u = q.touched[t];
-        const int32_t c = q.count[u];
-        if (c == 0) {
-          s->in_touched[u] = 0;
-          continue;
-        }
-        q.touched[w++] = u;
-        if (c > 0 && u != v) {
-          if constexpr (kDegreesOnly) {
-            ++degree;
-          } else {
-            s->staged.push_back(u);
-          }
-        }
-      }
-      q.touched.resize(w);
-      common = next_common;
-    } else {
-      for (const NodeId u : q.touched) {
-        if (q.count[u] > 0 && u != v) {
-          if constexpr (kDegreesOnly) {
-            ++degree;
-          } else {
-            s->staged.push_back(u);
-          }
-        }
-        q.count[u] = 0;
-        s->in_touched[u] = 0;
-      }
-      q.touched.clear();
-      s->applied.clear();
-      common = 0;
-    }
-    if constexpr (kDegreesOnly) {
-      (*degrees)[i] = degree;
-    } else {
-      s->staged_begin.push_back(s->staged.size());
-    }
-  }
-  ResetCoverage(s);
-
-  // One flush per batch keeps the per-node loop free of atomics.
-  if (obs_reuse != 0) Obs().chain_reuse->Add(obs_reuse);
-  if (obs_reset != 0) Obs().chain_reset->Add(obs_reset);
-  if (obs_dup != 0) Obs().dup_hits->Add(obs_dup);
-
-  if constexpr (!kDegreesOnly) {
-    // Staged answers are in processing order; emit them in input order.
-    for (size_t k = 0; k < batch; ++k) {
-      result->offsets[s->order[k] + 1] =
-          s->staged_begin[k + 1] - s->staged_begin[k];
-    }
-    for (size_t i = 0; i < batch; ++i) {
-      result->offsets[i + 1] += result->offsets[i];
-    }
-    result->neighbors.resize(s->staged.size());
-    for (size_t k = 0; k < batch; ++k) {
-      std::copy(s->staged.begin() + s->staged_begin[k],
-                s->staged.begin() + s->staged_begin[k + 1],
-                result->neighbors.begin() + result->offsets[s->order[k]]);
-    }
-  }
+/// The in-memory walk fails only on an out-of-range id, which callers of
+/// this layer rule out (the facade validates untrusted ids).
+void ExpectWalked(const Status& status) {
+  assert(status.ok());
+  (void)status;
 }
 
 }  // namespace
+
+void RecordBatchWalk(uint64_t reuse, uint64_t reset, uint64_t dup) {
+  // How often the batch walk amortizes work: chain reuse (retract only
+  // the divergent ancestor suffix), full resets, and duplicate copy hits.
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  static obs::Counter* const chain_reuse = registry.GetCounter(
+      "slugger_query_chain_reuse_total",
+      "batch nodes that kept a shared ancestor-chain prefix applied");
+  static obs::Counter* const chain_reset = registry.GetCounter(
+      "slugger_query_chain_reset_total",
+      "batch nodes that discarded coverage (single-query strategy)");
+  static obs::Counter* const dup_hits = registry.GetCounter(
+      "slugger_query_batch_dup_hits_total",
+      "batch nodes answered by copying the previous duplicate's answer");
+  if (reuse != 0) chain_reuse->Add(reuse);
+  if (reset != 0) chain_reset->Add(reset);
+  if (dup != 0) dup_hits->Add(dup);
+}
+
+void AccumulateCoverage(const SummaryGraph& summary, NodeId v,
+                        QueryScratch* scratch) {
+  ExpectWalked(
+      WalkCoverage(SummaryRecords(summary, &scratch->stack), v, scratch));
+}
 
 const std::vector<NodeId>& QueryNeighbors(const SummaryGraph& summary,
                                           NodeId v, QueryScratch* scratch) {
@@ -304,76 +113,27 @@ size_t QueryDegree(const SummaryGraph& summary, NodeId v,
 const std::vector<NodeId>& QueryNeighbors(
     const SummaryGraph& summary, NodeId v, QueryScratch* scratch,
     std::span<const NeighborOverride> overrides) {
-  AccumulateCoverage(summary, v, scratch);
-  ApplyOverrides(overrides, scratch);
-  scratch->result.clear();
-  for (NodeId u : scratch->touched) {
-    if (scratch->count[u] > 0 && u != v) scratch->result.push_back(u);
-    scratch->count[u] = 0;
-  }
-  scratch->touched.clear();
+  ExpectWalked(WalkQuery<false>(SummaryRecords(summary, &scratch->stack), v,
+                                scratch, overrides, nullptr));
   return scratch->result;
 }
 
 size_t QueryDegree(const SummaryGraph& summary, NodeId v,
                    QueryScratch* scratch,
                    std::span<const NeighborOverride> overrides) {
-  AccumulateCoverage(summary, v, scratch);
-  ApplyOverrides(overrides, scratch);
-  size_t degree = 0;
-  for (NodeId u : scratch->touched) {
-    degree += scratch->count[u] > 0 && u != v;
-    scratch->count[u] = 0;
-  }
-  scratch->touched.clear();
-  return degree;
+  uint64_t degree = 0;
+  ExpectWalked(WalkQuery<true>(SummaryRecords(summary, &scratch->stack), v,
+                               scratch, overrides, &degree));
+  return static_cast<size_t>(degree);
 }
 
 void ComputeBatchOrder(const SummaryGraph& summary,
                        std::span<const NodeId> nodes, BatchScratch* scratch,
                        const std::vector<uint32_t>* leaf_rank,
                        std::span<const uint32_t> precomputed_order) {
-  const HierarchyForest& forest = summary.forest();
-  scratch->chains.clear();
-  scratch->chain_begin.assign(1, 0);
-  scratch->chain_begin.reserve(nodes.size() + 1);
-  for (NodeId v : nodes) {
-    assert(v < summary.num_leaves());
-    const size_t begin = scratch->chains.size();
-    for (SupernodeId node = v; node != kInvalidId; node = forest.Parent(node)) {
-      scratch->chains.push_back(node);
-    }
-    std::reverse(scratch->chains.begin() + begin, scratch->chains.end());
-    scratch->chain_begin.push_back(scratch->chains.size());
-  }
-
-  if (!precomputed_order.empty()) {
-    assert(precomputed_order.size() == nodes.size());
-    scratch->order.assign(precomputed_order.begin(), precomputed_order.end());
-    return;
-  }
-
-  if (leaf_rank == nullptr) {
-    scratch->preorder = forest.ComputeLeafPreorder();
-    leaf_rank = &scratch->preorder;
-  }
-  assert(leaf_rank->size() >= summary.num_leaves());
-
-  scratch->order.resize(nodes.size());
-  std::iota(scratch->order.begin(), scratch->order.end(), 0u);
-  const std::vector<uint32_t>& rank = *leaf_rank;
-  std::sort(scratch->order.begin(), scratch->order.end(),
-            [&rank, nodes](uint32_t a, uint32_t b) {
-              // Leaf preorder keeps every subtree's leaves contiguous, so
-              // ascending rank clusters shared ancestor chains as tightly
-              // as any chain-lexicographic order would — at one integer
-              // comparison. Equal ranks mean the same node; break by
-              // position to keep the order deterministic.
-              const uint32_t ra = rank[nodes[a]];
-              const uint32_t rb = rank[nodes[b]];
-              if (ra != rb) return ra < rb;
-              return a < b;
-            });
+  ExpectWalked(WalkBatchOrder(
+      BatchRecords(summary, scratch, leaf_rank, precomputed_order), nodes,
+      scratch, &scratch->chains, precomputed_order));
 }
 
 void QueryNeighborsBatch(const SummaryGraph& summary,
@@ -381,8 +141,9 @@ void QueryNeighborsBatch(const SummaryGraph& summary,
                          BatchScratch* scratch,
                          const std::vector<uint32_t>* leaf_rank,
                          std::span<const uint32_t> precomputed_order) {
-  RunBatch<false>(summary, nodes, result, nullptr, scratch, leaf_rank,
-                  precomputed_order);
+  ExpectWalked(WalkBatch<false>(
+      BatchRecords(summary, scratch, leaf_rank, precomputed_order), nodes,
+      result, nullptr, scratch, &scratch->chains, precomputed_order));
 }
 
 void QueryDegreeBatch(const SummaryGraph& summary,
@@ -390,8 +151,9 @@ void QueryDegreeBatch(const SummaryGraph& summary,
                       std::vector<uint64_t>* degrees, BatchScratch* scratch,
                       const std::vector<uint32_t>* leaf_rank,
                       std::span<const uint32_t> precomputed_order) {
-  RunBatch<true>(summary, nodes, nullptr, degrees, scratch, leaf_rank,
-                 precomputed_order);
+  ExpectWalked(WalkBatch<true>(
+      BatchRecords(summary, scratch, leaf_rank, precomputed_order), nodes,
+      nullptr, degrees, scratch, &scratch->chains, precomputed_order));
 }
 
 }  // namespace slugger::summary

@@ -1,5 +1,6 @@
 // Partial decompression: neighbor retrieval directly on a summary
-// (paper Algorithm 4) without reconstructing the whole graph.
+// (paper Algorithm 4) without reconstructing the whole graph: the
+// in-memory instances of the walk in summary/coverage_walk.hpp.
 //
 // The query state is split so a service can serve concurrent readers:
 // the SummaryGraph is the immutable shared index, and ALL mutable
@@ -72,9 +73,10 @@ inline EdgeSign FindOverrideSign(std::span<const NeighborOverride> sorted,
 
 /// QueryNeighbors with corrections: identical to the plain overload when
 /// `overrides` is empty; otherwise each override's subnode is forced
-/// present/absent in the answer. Every override neighbor must be a valid
-/// subnode id and appear at most once; an override for v itself is
-/// ignored (a simple graph has no self-loops). Same thread contract.
+/// present/absent in the answer. Every override neighbor must appear at
+/// most once; an override for v itself (a simple graph has no self-loops)
+/// or for an id >= num_leaves() (no pair of this summary) is ignored.
+/// Same thread contract.
 const std::vector<NodeId>& QueryNeighbors(
     const SummaryGraph& summary, NodeId v, QueryScratch* scratch,
     std::span<const NeighborOverride> overrides);
@@ -120,18 +122,18 @@ struct BatchScratch {
   std::vector<SupernodeId> chains;   ///< concatenated root-first chains
   std::vector<uint64_t> chain_begin; ///< chain offsets (batch size + 1)
   std::vector<uint32_t> order;       ///< batch positions, locality-sorted
-  std::vector<SupernodeId> applied;  ///< currently applied ancestor chain
   std::vector<NodeId> staged;        ///< neighbors in processing order
   std::vector<uint64_t> staged_begin;
   std::vector<uint32_t> preorder;    ///< fallback leaf ranks (see below)
 };
 
-/// Fills scratch->chains/chain_begin with each node's root-first ancestor
-/// chain and scratch->order with the batch positions sorted by hierarchy
-/// locality (leaf preorder): nodes sharing a long ancestor chain become
-/// adjacent, which is what lets the batch pass below reuse one coverage
-/// application per shared ancestor. Exposed so callers that shard a batch
-/// across threads can sort once globally and keep each shard's slice
+/// Fills scratch->order with the batch positions sorted by hierarchy
+/// locality (leaf preorder) and scratch->chains/chain_begin with the
+/// root-first ancestor chain of each nodes[order[k]] (empty for a copy of
+/// its predecessor): nodes sharing a long ancestor chain become adjacent,
+/// which is what lets the batch pass below reuse one coverage application
+/// per shared ancestor. Exposed so callers that shard a batch across
+/// threads can sort once globally and keep each shard's slice
 /// locality-contiguous. Every node must be < num_leaves().
 ///
 /// `leaf_rank`, when provided, must be ComputeLeafPreorder() of the

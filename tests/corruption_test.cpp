@@ -5,12 +5,15 @@
 // under ASan+UBSan in CI, so "no crash" is checked with teeth.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "api/engine.hpp"
 #include "gen/generators.hpp"
 #include "storage/format.hpp"
+#include "storage/paged_source.hpp"
 #include "storage/storage.hpp"
 #include "summary/serialize.hpp"
 #include "util/types.hpp"
@@ -19,11 +22,9 @@
 namespace slugger {
 namespace {
 
-/// One real summary buffer shared by the matrix tests: small enough that
-/// exhaustive truncation/bit-flip sweeps stay fast, rich enough to have
-/// internal supernodes and both edge signs.
-const std::string& RealSummaryBuffer() {
-  static const std::string buffer = [] {
+/// The graph behind the shared matrix buffers below.
+const graph::Graph& RealGraph() {
+  static const graph::Graph g = [] {
     gen::PlantedHierarchyOptions opt;
     opt.branching = 3;
     opt.depth = 2;
@@ -31,12 +32,21 @@ const std::string& RealSummaryBuffer() {
     opt.leaf_density = 0.9;
     opt.pair_link_prob = 0.5;
     opt.pair_link_decay = 0.2;
-    graph::Graph g = gen::PlantedHierarchy(opt, /*seed=*/5);
+    return gen::PlantedHierarchy(opt, /*seed=*/5);
+  }();
+  return g;
+}
+
+/// One real summary buffer shared by the matrix tests: small enough that
+/// exhaustive truncation/bit-flip sweeps stay fast, rich enough to have
+/// internal supernodes and both edge signs.
+const std::string& RealSummaryBuffer() {
+  static const std::string buffer = [] {
     EngineOptions options;
     options.config.iterations = 8;
     options.config.seed = 5;
     Engine engine(options);
-    StatusOr<CompressedGraph> compressed = engine.Summarize(g);
+    StatusOr<CompressedGraph> compressed = engine.Summarize(RealGraph());
     EXPECT_TRUE(compressed.ok());
     storage::SaveOptions v1;
     v1.format = storage::Format::kMonolithicV1;
@@ -64,6 +74,28 @@ const std::string& RealPagedBuffer() {
     return std::move(bytes).value();
   }();
   return buffer;
+}
+
+std::vector<NodeId> Sorted(std::span<const NodeId> list) {
+  std::vector<NodeId> out(list.begin(), list.end());
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// Asserts a batch over every node of `g` through `scratch` answers `g`
+/// exactly — what a scratch left dirty by a failed batch would break.
+void ExpectExactBatch(const CompressedGraph& cg, const graph::Graph& g,
+                      BatchScratch* scratch) {
+  std::vector<NodeId> nodes;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) nodes.push_back(v);
+  BatchResult result;
+  ASSERT_TRUE(cg.NeighborsBatch(nodes, &result, scratch).ok());
+  std::vector<uint64_t> degrees;
+  ASSERT_TRUE(cg.DegreeBatch(nodes, &degrees, scratch).ok());
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    EXPECT_EQ(Sorted(result[v]), Sorted(g.Neighbors(v))) << "node " << v;
+    EXPECT_EQ(degrees[v], g.Degree(v)) << "node " << v;
+  }
 }
 
 /// A parse that unexpectedly succeeds must still yield a usable summary:
@@ -316,11 +348,51 @@ TEST(PagedCorruptionMatrix, DataPageDamageSurfacesAsCorruptionStatus) {
   EXPECT_EQ(s.code(), Status::Code::kCorruption);
   EXPECT_EQ(result.size(), 0u);  // emptied, not half-filled
 
+  // The failed batch left the scratch as it found it: the same scratch
+  // serves a healthy handle exactly.
+  StatusOr<CompressedGraph> healthy = storage::OpenBuffer(buffer);
+  ASSERT_TRUE(healthy.ok()) << healthy.status().ToString();
+  ExpectExactBatch(healthy.value(), RealGraph(), &scratch);
+
   // Materialization walks the whole record stream, so it must fail too —
   // and the failure is sticky, not a crash on retry.
   EXPECT_FALSE(opened.value().Materialize().ok());
   EXPECT_FALSE(opened.value().Materialize().ok());
   EXPECT_FALSE(opened.value().Verify(graph::Graph()).ok());
+
+  // Damage to a leaf_at page fails a batch mid-walk instead, with the
+  // coverage of the records read so far applied. A graph with several
+  // leaf_at pages puts the damaged one behind healthy ones; the batch
+  // must fail, and the scratch must still come back zeroed.
+  const graph::Graph g = gen::ErdosRenyi(300, 1200, 29);
+  StatusOr<CompressedGraph> mem = Engine().Summarize(g);
+  ASSERT_TRUE(mem.ok());
+  storage::SaveOptions save;
+  save.page_size = storage::kMinPageSize;
+  StatusOr<std::string> image = storage::Serialize(mem.value(), save);
+  ASSERT_TRUE(image.ok());
+  StatusOr<CompressedGraph> good = storage::OpenBuffer(image.value());
+  ASSERT_TRUE(good.ok());
+  const storage::PagedHeader& header = good.value().paged_source()->header();
+  ASSERT_GE(header.leaf_at.num_pages, 2u);
+  std::string bad = image.value();
+  const uint32_t last_leaf_at =
+      header.leaf_at.first_page + header.leaf_at.num_pages - 1;
+  bad[static_cast<size_t>(last_leaf_at) * header.page_size] ^= 0x01;
+  StatusOr<CompressedGraph> damaged = storage::OpenBuffer(std::move(bad));
+  ASSERT_TRUE(damaged.ok()) << damaged.status().ToString();
+  BatchScratch reused;
+  std::vector<NodeId> all;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) all.push_back(v);
+  s = damaged.value().NeighborsBatch(all, &result, &reused);
+  EXPECT_EQ(s.code(), Status::Code::kCorruption);
+  EXPECT_EQ(result.size(), 0u);
+  std::vector<uint64_t> degrees;
+  s = damaged.value().DegreeBatch(all, &degrees, &reused);
+  EXPECT_EQ(s.code(), Status::Code::kCorruption);
+  EXPECT_TRUE(degrees.empty());
+  ExpectExactBatch(good.value(), g, &reused);
+  ExpectExactBatch(mem.value(), g, &reused);
 }
 
 TEST(PagedCorruptionMatrix, ForgedHeaderCountsAreRejectedBeforeAllocating) {
@@ -401,6 +473,36 @@ TEST(QueryBounds, BatchWithAnyOutOfRangeIdIsInvalidArgument) {
   ASSERT_TRUE(cg.NeighborsBatch(nodes, &result, &scratch).ok());
   for (size_t i = 0; i < nodes.size(); ++i) {
     EXPECT_EQ(result[i].size(), g.Degree(nodes[i]));
+  }
+}
+
+TEST(QueryBounds, OutOfRangeOverridesAreIgnoredOnBothBackends) {
+  graph::Graph g = gen::ErdosRenyi(300, 1200, 19);
+  Engine engine;
+  StatusOr<CompressedGraph> mem = engine.Summarize(g);
+  ASSERT_TRUE(mem.ok());
+  StatusOr<std::string> bytes = storage::Serialize(mem.value());
+  ASSERT_TRUE(bytes.ok());
+  StatusOr<CompressedGraph> paged = storage::OpenBuffer(std::move(bytes).value());
+  ASSERT_TRUE(paged.ok());
+  ASSERT_TRUE(paged.value().paged());
+
+  // An override naming no node of the graph names no pair of it: both
+  // backends skip it. Fresh scratches size their counters to exactly
+  // num_nodes(), so an unchecked write lands past the end (ASan).
+  const NodeId n = g.num_nodes();
+  const std::vector<NeighborOverride> overrides = {
+      {n, +1}, {n + 1, -1}, {kInvalidId, +1}};
+  for (const CompressedGraph* cg : {&mem.value(), &paged.value()}) {
+    for (NodeId v : {NodeId{0}, NodeId{1}, n - 1}) {
+      QueryScratch plain, forced, degree_scratch;
+      const std::vector<NodeId> want = Sorted(cg->Neighbors(v, &plain));
+      EXPECT_EQ(want, Sorted(g.Neighbors(v))) << "node " << v;
+      EXPECT_EQ(Sorted(cg->Neighbors(v, &forced, overrides)), want)
+          << "node " << v;
+      EXPECT_EQ(cg->Degree(v, &degree_scratch, overrides), want.size())
+          << "node " << v;
+    }
   }
 }
 

@@ -1,17 +1,19 @@
 // Tests for the unified persistence layer (slugger::storage) and the
 // paged v2 read path: format negotiation between v1 monolithic and v2
-// paged files, byte-exact agreement between a paged-open handle and an
-// in-memory one across the whole query surface (single, batched,
-// overlayed via DynamicGraph), page-touch accounting (a cold open does
-// O(header + page table) I/O and a single query faults in no more pages
-// than its ancestor chain explains), residency bounds of the pread
-// backend, and lazy materialization for analytics.
+// paged files, a paged-open handle and an in-memory one both answering
+// the input graph exactly across the whole query surface (single,
+// batched, overlayed via DynamicGraph), page-touch accounting (a cold
+// open does O(header + page table) I/O and a single query faults in no
+// more pages than its ancestor chain explains), residency bounds of the
+// pread backend, and lazy materialization for analytics.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <random>
+#include <set>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -49,23 +51,35 @@ std::vector<NodeId> SortedNeighbors(const CompressedGraph& cg, NodeId v,
   return out;
 }
 
-/// Asserts the full query surface of `paged` agrees with `mem`:
-/// single-node, batched (with duplicates), and degree flavors.
-void ExpectAgreement(const CompressedGraph& mem, const CompressedGraph& paged) {
-  ASSERT_EQ(mem.num_nodes(), paged.num_nodes());
+std::vector<NodeId> Sorted(std::span<const NodeId> list) {
+  std::vector<NodeId> out(list.begin(), list.end());
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// Asserts the full query surface of both handles answers `g`, the graph
+/// they summarize: single-node, batched (with duplicates), and degree
+/// flavors. Both backends run the same coverage walk, so agreement between
+/// them alone would not check the walk; the graph is the oracle.
+void ExpectAgreement(const graph::Graph& g, const CompressedGraph& mem,
+                     const CompressedGraph& paged) {
+  ASSERT_EQ(mem.num_nodes(), g.num_nodes());
+  ASSERT_EQ(paged.num_nodes(), g.num_nodes());
   QueryScratch qa, qb;
-  for (NodeId v = 0; v < mem.num_nodes(); ++v) {
-    EXPECT_EQ(SortedNeighbors(mem, v, &qa), SortedNeighbors(paged, v, &qb))
-        << "node " << v;
-    EXPECT_EQ(mem.Degree(v, &qa), paged.Degree(v, &qb)) << "node " << v;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    const std::vector<NodeId> want = Sorted(g.Neighbors(v));
+    EXPECT_EQ(SortedNeighbors(mem, v, &qa), want) << "node " << v;
+    EXPECT_EQ(SortedNeighbors(paged, v, &qb), want) << "node " << v;
+    EXPECT_EQ(mem.Degree(v, &qa), want.size()) << "node " << v;
+    EXPECT_EQ(paged.Degree(v, &qb), want.size()) << "node " << v;
   }
 
   // A batch over every node plus shuffled duplicates.
-  std::vector<NodeId> nodes(mem.num_nodes());
-  for (NodeId v = 0; v < mem.num_nodes(); ++v) nodes[v] = v;
+  std::vector<NodeId> nodes(g.num_nodes());
+  for (NodeId v = 0; v < g.num_nodes(); ++v) nodes[v] = v;
   std::mt19937 rng(99);
-  for (int i = 0; i < 64 && mem.num_nodes() > 0; ++i) {
-    nodes.push_back(static_cast<NodeId>(rng() % mem.num_nodes()));
+  for (int i = 0; i < 64 && g.num_nodes() > 0; ++i) {
+    nodes.push_back(static_cast<NodeId>(rng() % g.num_nodes()));
   }
   std::shuffle(nodes.begin(), nodes.end(), rng);
 
@@ -73,19 +87,26 @@ void ExpectAgreement(const CompressedGraph& mem, const CompressedGraph& paged) {
   BatchScratch sa, sb;
   ASSERT_TRUE(mem.NeighborsBatch(nodes, &ra, &sa).ok());
   ASSERT_TRUE(paged.NeighborsBatch(nodes, &rb, &sb).ok());
-  ASSERT_EQ(ra.size(), rb.size());
-  for (size_t i = 0; i < ra.size(); ++i) {
-    std::vector<NodeId> a(ra[i].begin(), ra[i].end());
-    std::vector<NodeId> b(rb[i].begin(), rb[i].end());
-    std::sort(a.begin(), a.end());
-    std::sort(b.begin(), b.end());
-    EXPECT_EQ(a, b) << "batch position " << i;
+  ASSERT_EQ(ra.size(), nodes.size());
+  ASSERT_EQ(rb.size(), nodes.size());
+  std::vector<uint64_t> want_degrees;
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    const std::vector<NodeId> want = Sorted(g.Neighbors(nodes[i]));
+    EXPECT_EQ(Sorted(ra[i]), want) << "batch position " << i;
+    EXPECT_EQ(Sorted(rb[i]), want) << "batch position " << i;
+    want_degrees.push_back(want.size());
   }
 
   std::vector<uint64_t> da, db;
   ASSERT_TRUE(mem.DegreeBatch(nodes, &da, &sa).ok());
   ASSERT_TRUE(paged.DegreeBatch(nodes, &db, &sb).ok());
-  EXPECT_EQ(da, db);
+  EXPECT_EQ(da, want_degrees);
+  EXPECT_EQ(db, want_degrees);
+}
+
+/// ExpectAgreement against the graph the in-memory summary decodes to.
+void ExpectAgreement(const CompressedGraph& mem, const CompressedGraph& paged) {
+  ExpectAgreement(mem.Decode(), mem, paged);
 }
 
 // ------------------------------------------------------------- agreement
@@ -101,7 +122,7 @@ TEST(PagedStorage, PagedOpenAgreesWithInMemoryOnRmat) {
   ASSERT_TRUE(paged.ok()) << paged.status().ToString();
   EXPECT_TRUE(paged.value().paged());
   EXPECT_EQ(paged.value().stats().cost, mem.stats().cost);
-  ExpectAgreement(mem, paged.value());
+  ExpectAgreement(g, mem, paged.value());
   // Serving the whole sweep never required materializing.
   EXPECT_TRUE(paged.value().paged());
   std::remove(path.c_str());
@@ -118,7 +139,7 @@ TEST(PagedStorage, PagedOpenAgreesWithInMemoryOnErdosRenyi) {
   StatusOr<CompressedGraph> paged = storage::OpenBuffer(bytes.value());
   ASSERT_TRUE(paged.ok()) << paged.status().ToString();
   EXPECT_TRUE(paged.value().paged());
-  ExpectAgreement(mem, paged.value());
+  ExpectAgreement(g, mem, paged.value());
 }
 
 TEST(PagedStorage, DynamicGraphOverPagedBaseAgrees) {
@@ -147,14 +168,28 @@ TEST(PagedStorage, DynamicGraphOverPagedBaseAgrees) {
   ASSERT_TRUE(over_mem.ApplyEdits(edits).ok());
   ASSERT_TRUE(over_paged.ApplyEdits(edits).ok());
 
+  // The oracle: the edits replayed on plain adjacency sets.
+  std::vector<std::set<NodeId>> want(g.num_nodes());
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    want[u].insert(g.Neighbors(u).begin(), g.Neighbors(u).end());
+  }
+  for (const stream::EdgeEdit& e : edits) {
+    if (e.kind == stream::EditKind::kInsert) {
+      want[e.u].insert(e.v);
+      want[e.v].insert(e.u);
+    } else {
+      want[e.u].erase(e.v);
+      want[e.v].erase(e.u);
+    }
+  }
+
   QueryScratch qa, qb;
   for (NodeId v = 0; v < 400; ++v) {
-    std::vector<NodeId> a = over_mem.Neighbors(v, &qa);
-    std::vector<NodeId> b = over_paged.Neighbors(v, &qb);
-    std::sort(a.begin(), a.end());
-    std::sort(b.begin(), b.end());
-    EXPECT_EQ(a, b) << "node " << v;
-    EXPECT_EQ(over_mem.Degree(v, &qa), over_paged.Degree(v, &qb));
+    const std::vector<NodeId> expected(want[v].begin(), want[v].end());
+    EXPECT_EQ(Sorted(over_mem.Neighbors(v, &qa)), expected) << "node " << v;
+    EXPECT_EQ(Sorted(over_paged.Neighbors(v, &qb)), expected) << "node " << v;
+    EXPECT_EQ(over_mem.Degree(v, &qa), expected.size()) << "node " << v;
+    EXPECT_EQ(over_paged.Degree(v, &qb), expected.size()) << "node " << v;
   }
 
   std::vector<NodeId> nodes;
@@ -164,11 +199,10 @@ TEST(PagedStorage, DynamicGraphOverPagedBaseAgrees) {
   ASSERT_TRUE(over_mem.NeighborsBatch(nodes, &ra, &sa).ok());
   ASSERT_TRUE(over_paged.NeighborsBatch(nodes, &rb, &sb).ok());
   for (size_t i = 0; i < nodes.size(); ++i) {
-    std::vector<NodeId> a(ra[i].begin(), ra[i].end());
-    std::vector<NodeId> b(rb[i].begin(), rb[i].end());
-    std::sort(a.begin(), a.end());
-    std::sort(b.begin(), b.end());
-    EXPECT_EQ(a, b) << "batch position " << i;
+    const std::vector<NodeId> expected(want[nodes[i]].begin(),
+                                       want[nodes[i]].end());
+    EXPECT_EQ(Sorted(ra[i]), expected) << "batch position " << i;
+    EXPECT_EQ(Sorted(rb[i]), expected) << "batch position " << i;
   }
 }
 
@@ -327,7 +361,7 @@ TEST(PagedStorage, PreadBackendBoundsResidency) {
   auto source = paged.value().paged_source();
   ASSERT_EQ(source->backend(), storage::Io::kPread);
 
-  ExpectAgreement(mem, paged.value());
+  ExpectAgreement(g, mem, paged.value());
   const storage::BufferStats stats = source->buffer_stats();
   EXPECT_LE(stats.resident_pages, 8u);
   EXPECT_GT(stats.evictions, 0u);  // the sweep cycled the tiny cache
@@ -359,7 +393,7 @@ TEST(PagedStorage, AnalyticsMaterializeAndAgree) {
   // The first analytics call materialized the summary; from here on the
   // handle serves from memory.
   EXPECT_FALSE(paged.value().paged());
-  ExpectAgreement(mem, paged.value());
+  ExpectAgreement(g, mem, paged.value());
 }
 
 TEST(PagedStorage, ExplicitMaterializeIsIdempotent) {
@@ -376,7 +410,7 @@ TEST(PagedStorage, ExplicitMaterializeIsIdempotent) {
   ASSERT_TRUE(copy.Materialize().ok());
   EXPECT_FALSE(paged.value().paged());
   EXPECT_EQ(copy.summary().num_leaves(), mem.num_nodes());
-  ExpectAgreement(mem, copy);
+  ExpectAgreement(g, mem, copy);
 }
 
 // ------------------------------------------------------ concurrent churn
@@ -396,9 +430,9 @@ TEST(PagedChurn, ConcurrentReadersChurnTinyPreadCache) {
 
   storage::OpenOptions options;
   options.buffer.io = storage::Io::kPread;
-  // Small enough to churn, big enough that four concurrent ancestor-chain
-  // pin sets cannot exhaust the frames (exhaustion is an Aborted that
-  // degrades to an empty answer — a different contract than this test).
+  // Small enough to churn, big enough that four concurrent walks (a few
+  // pins each) never need an overflow frame, so the residency cap below
+  // holds exactly.
   options.buffer.max_resident_pages = 16;
   StatusOr<CompressedGraph> paged = storage::Open(path, options);
   ASSERT_TRUE(paged.ok()) << paged.status().ToString();
@@ -414,6 +448,9 @@ TEST(PagedChurn, ConcurrentReadersChurnTinyPreadCache) {
     readers.emplace_back([&, t] {
       std::mt19937 rng(100 + t);
       QueryScratch scratch;
+      BatchScratch batch_scratch;
+      BatchResult batch_result;
+      std::vector<uint64_t> degrees;
       for (int i = 0; i < kQueriesPerThread; ++i) {
         const NodeId v = rng() % mem.num_nodes();
         std::vector<NodeId> got = paged.value().Neighbors(v, &scratch);
@@ -422,6 +459,24 @@ TEST(PagedChurn, ConcurrentReadersChurnTinyPreadCache) {
         std::sort(got.begin(), got.end());
         std::sort(want.begin(), want.end());
         if (got != want) failed.store(true, std::memory_order_relaxed);
+
+        // Every 16th step also runs a small batch (with a duplicate)
+        // through the paged batch walk, racing the other readers.
+        if (i % 16 != 0) continue;
+        std::vector<NodeId> nodes = {v, v};
+        for (int j = 0; j < 6; ++j) nodes.push_back(rng() % mem.num_nodes());
+        if (!paged.value().NeighborsBatch(nodes, &batch_result, &batch_scratch)
+                 .ok() ||
+            !paged.value().DegreeBatch(nodes, &degrees, &batch_scratch).ok()) {
+          failed.store(true, std::memory_order_relaxed);
+          continue;
+        }
+        for (size_t k = 0; k < nodes.size(); ++k) {
+          if (Sorted(batch_result[k]) != Sorted(g.Neighbors(nodes[k])) ||
+              degrees[k] != g.Degree(nodes[k])) {
+            failed.store(true, std::memory_order_relaxed);
+          }
+        }
       }
     });
   }
@@ -476,6 +531,68 @@ TEST(PagedChurn, MaterializeRacesPagedReaders) {
   EXPECT_FALSE(failed.load());
   EXPECT_FALSE(paged.value().paged());
   ExpectAgreement(mem, paged.value());
+  std::remove(path.c_str());
+}
+
+// A pread cache of one or two frames is smaller than what one walk pins
+// at once (Materialize holds three pages). Fetches that find every frame
+// pinned overflow instead of failing, so every answer stays exact and the
+// cache shrinks back to its cap once the pins are gone.
+TEST(PagedStorage, TinyPreadCacheServesAndMaterializes) {
+  graph::Graph g = gen::ErdosRenyi(400, 2400, 73);
+  CompressedGraph mem = Summarize(g, 73);
+  const std::string path = TempPath("tiny_pread.slg2");
+  storage::SaveOptions save;
+  save.page_size = 512;
+  ASSERT_TRUE(storage::Save(mem, path, save).ok());
+
+  for (uint32_t frames : {1u, 2u}) {
+    SCOPED_TRACE("max_resident_pages " + std::to_string(frames));
+    storage::OpenOptions options;
+    options.buffer.io = storage::Io::kPread;
+    options.buffer.max_resident_pages = frames;
+    StatusOr<CompressedGraph> paged = storage::Open(path, options);
+    ASSERT_TRUE(paged.ok()) << paged.status().ToString();
+    auto source = paged.value().paged_source();
+    ASSERT_EQ(source->backend(), storage::Io::kPread);
+
+    QueryScratch scratch;
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      const std::vector<NodeId> want = Sorted(g.Neighbors(v));
+      EXPECT_EQ(SortedNeighbors(paged.value(), v, &scratch), want)
+          << "node " << v;
+      EXPECT_EQ(paged.value().Degree(v, &scratch), want.size())
+          << "node " << v;
+    }
+    std::vector<NodeId> nodes;
+    for (NodeId v = 0; v < g.num_nodes(); ++v) nodes.push_back(v);
+    nodes.push_back(7);
+    nodes.push_back(7);
+    BatchResult result;
+    BatchScratch batch_scratch;
+    std::vector<uint64_t> degrees;
+    ASSERT_TRUE(paged.value().NeighborsBatch(nodes, &result, &batch_scratch)
+                    .ok());
+    ASSERT_TRUE(paged.value().DegreeBatch(nodes, &degrees, &batch_scratch)
+                    .ok());
+    for (size_t i = 0; i < nodes.size(); ++i) {
+      EXPECT_EQ(Sorted(result[i]), Sorted(g.Neighbors(nodes[i])))
+          << "batch position " << i;
+      EXPECT_EQ(degrees[i], g.Degree(nodes[i])) << "batch position " << i;
+    }
+    EXPECT_EQ(paged.value().query_errors(), 0u);
+
+    storage::BufferStats stats = source->buffer_stats();
+    EXPECT_EQ(stats.pinned_now, 0u);
+    EXPECT_LE(stats.resident_pages, frames);
+
+    ASSERT_TRUE(paged.value().Materialize().ok());
+    EXPECT_FALSE(paged.value().paged());
+    EXPECT_TRUE(paged.value().Verify(g).ok());
+    stats = source->buffer_stats();
+    EXPECT_EQ(stats.pinned_now, 0u);
+    EXPECT_LE(stats.resident_pages, frames);
+  }
   std::remove(path.c_str());
 }
 
