@@ -1,12 +1,13 @@
-// Thread-scaling benchmark of the parallel pruning and verify/decode
-// paths (ISSUE 2).
+// Thread-scaling benchmark of pruning and verify/decode.
 //
-// Builds one unpruned summary of an RMAT graph, then sweeps worker counts:
-// per count it times PruneSummary on the pool (on a fresh copy of the
-// summary) and VerifyLossless of the pruned result (parallel decode +
-// compare). The pruned bytes are checked identical across counts (the
-// parallel pruning path is thread-count invariant). Results go to stdout
-// and to BENCH_prune_verify.json as one machine-readable JSON object.
+// Builds one unpruned summary of an RMAT graph and prunes a copy without a
+// pool (inline) as the reference, then sweeps worker counts: per count it
+// times PruneSummary on the pool (on a fresh copy of the summary) and
+// VerifyLossless of the pruned result (parallel decode + compare). Each
+// count's pruned bytes must equal the inline reference (pruning has one
+// algorithm at every pool size); the exit code is 1 if any run is lossy or
+// differs. Results go to stdout and to BENCH_prune_verify.json as one
+// machine-readable JSON object.
 //
 // Env knobs:
 //   SLUGGER_BENCH_PV_SCALE   RMAT scale (default 14 -> 16384 nodes)
@@ -72,7 +73,11 @@ int main() {
               static_cast<unsigned long long>(base.stats.cost),
               base.merge_seconds, base.threads_used);
 
-  std::string reference_bytes;
+  // Reference: the same summary pruned without a pool.
+  summary::SummaryGraph reference = base.summary;
+  core::PruneSummary(&reference, g, core::PruneOptions{});
+  const std::string reference_bytes = summary::SerializeSummary(reference);
+
   std::vector<Run> runs;
   for (uint32_t t : threads) {
     ThreadPool pool(t);
@@ -89,7 +94,6 @@ int main() {
     double verify_seconds = verify_timer.Seconds();
 
     std::string bytes = summary::SerializeSummary(pruned);
-    if (reference_bytes.empty()) reference_bytes = bytes;
 
     Run run;
     run.threads = t;

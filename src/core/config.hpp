@@ -26,15 +26,13 @@ struct SluggerConfig {
 
   /// Pruning rounds over substeps 1-3 (§III-B4); 0 disables pruning.
   uint32_t pruning_rounds = 2;
-  bool prune_step1 = true;
-  bool prune_step2 = true;
-  bool prune_step3 = true;
 
   /// Worker threads; the count alone picks the merge engine. 1 runs the
   /// sequential engine (the original control flow: one planner, one RNG
   /// stream). 2 or more run the round-based evaluate-parallel /
   /// commit-serial engine, whose output is byte-identical at every such
-  /// count, and also run candidate generation and pruning on the pool.
+  /// count, and also run candidate generation on the pool. Pruning has one
+  /// algorithm at every count (inline at 1), so it never changes output.
   /// 0 uses all hardware threads.
   uint32_t num_threads = 1;
 

@@ -1,9 +1,7 @@
 #include "core/pruning.hpp"
 
 #include <algorithm>
-#include <cassert>
-#include <unordered_map>
-#include <unordered_set>
+#include <optional>
 #include <vector>
 
 #include "util/hashing.hpp"
@@ -15,23 +13,14 @@ namespace {
 using summary::HierarchyForest;
 using summary::SummaryGraph;
 
-/// Substep 1: splice out edge-free non-leaf supernodes. Returns #removed.
-uint64_t PruneStep1(SummaryGraph* summary) {
-  const HierarchyForest& forest = summary->forest();
-  uint64_t removed = 0;
-  for (SupernodeId s = forest.capacity(); s-- > 0;) {
-    if (!forest.IsAlive(s) || forest.IsLeaf(s)) continue;
-    if (summary->EdgeCountOf(s) != 0) continue;
-    summary->SpliceOut(s);
-    ++removed;
-  }
-  return removed;
-}
+// Every substep evaluates against a frozen state on the pool and applies
+// serially in a fixed order, so the apply order never depends on which
+// worker evaluated what: the pruned summary is the same at every pool size.
 
 /// Whether root `a` qualifies for substep 2 against the current state; on
 /// success fills its single neighbor `b` and the edge sign. Read-only —
-/// shared by the sequential path, the parallel evaluate phase, and the
-/// serial revalidation before an apply.
+/// shared by the parallel evaluate phase and the serial revalidation
+/// before an apply.
 bool EvaluateStep2(const SummaryGraph& summary, SupernodeId a, SupernodeId* b,
                    EdgeSign* sign) {
   const HierarchyForest& forest = summary.forest();
@@ -81,129 +70,11 @@ void ApplyStep2(SummaryGraph* summary, SupernodeId a, SupernodeId b,
   summary->SpliceOut(a);
 }
 
-/// Substep 2: dissolve non-leaf roots with exactly one incident non-loop
-/// edge, pushing the edge down to every child with sign cancellation.
-uint64_t PruneStep2(SummaryGraph* summary) {
-  const HierarchyForest& forest = summary->forest();
-  uint64_t removed = 0;
-  std::vector<SupernodeId> queue = forest.CollectRoots();
-  while (!queue.empty()) {
-    SupernodeId a = queue.back();
-    queue.pop_back();
-    SupernodeId b;
-    EdgeSign sign;
-    if (!EvaluateStep2(*summary, a, &b, &sign)) continue;
-    ApplyStep2(summary, a, b, sign,
-               [&](SupernodeId touched) { queue.push_back(touched); });
-    ++removed;
-  }
-  return removed;
-}
-
-/// Substep 3's cost decision: which root pairs does the flat model encode
-/// strictly cheaper than their current superedge count, and how.
-/// marked[key] = true: use corrections-only; false: superedge + n-edges.
-/// Shared by the sequential and parallel substeps so their outputs can
-/// never diverge.
-std::unordered_map<uint64_t, bool> DecideMarkedPairs(
-    const HierarchyForest& forest,
-    const std::unordered_map<uint64_t, uint32_t>& current,
-    const std::unordered_map<uint64_t, uint64_t>& subedges) {
-  std::unordered_map<uint64_t, bool> marked;
-  for (const auto& [key, count] : current) {
-    SupernodeId ra = PairFirst(key);
-    SupernodeId rb = PairSecond(key);
-    auto it = subedges.find(key);
-    uint64_t e_ab = it == subedges.end() ? 0 : it->second;
-    uint64_t sa = forest.Size(ra);
-    uint64_t t_ab = ra == rb ? sa * (sa - 1) / 2 : sa * forest.Size(rb);
-    uint64_t with_super = 1 + (t_ab - e_ab);
-    uint64_t flat = std::min(e_ab, with_super);
-    if (flat < count) marked[key] = e_ab <= with_super;
-  }
-  return marked;
-}
-
-/// Substep 3: per adjacent root pair (including self pairs), switch to the
-/// optimal flat encoding when strictly cheaper. Returns #pairs rewritten.
-uint64_t PruneStep3(SummaryGraph* summary, const graph::Graph& g) {
-  const HierarchyForest& forest = summary->forest();
-  std::vector<SupernodeId> root_map = forest.ComputeRootMap();
-
-  // Current superedge count per root pair.
-  std::unordered_map<uint64_t, uint32_t> current;
-  summary->ForEachEdge([&](SupernodeId x, SupernodeId y, EdgeSign) {
-    ++current[PairKey(root_map[x], root_map[y])];
-  });
-
-  // Subedge count per root pair (from the input graph).
-  std::unordered_map<uint64_t, uint64_t> subedges;
-  for (const Edge& e : g.Edges()) {
-    ++subedges[PairKey(root_map[e.first], root_map[e.second])];
-  }
-
-  std::unordered_map<uint64_t, bool> marked =
-      DecideMarkedPairs(forest, current, subedges);
-  if (marked.empty()) return 0;
-
-  // Remove every superedge of a marked pair.
-  std::vector<std::pair<SupernodeId, SupernodeId>> removals;
-  summary->ForEachEdge([&](SupernodeId x, SupernodeId y, EdgeSign) {
-    if (marked.count(PairKey(root_map[x], root_map[y]))) {
-      removals.emplace_back(x, y);
-    }
-  });
-  for (const auto& [x, y] : removals) summary->RemoveEdge(x, y);
-
-  // Re-encode marked pairs flat.
-  std::vector<NodeId> leaves_a;
-  std::vector<NodeId> leaves_b;
-  for (const auto& [key, corrections_only] : marked) {
-    SupernodeId ra = PairFirst(key);
-    SupernodeId rb = PairSecond(key);
-    if (corrections_only) continue;  // p-edges added in the edge sweep below
-    // Superedge + n-edge corrections for the missing subnode pairs.
-    summary->AddEdge(ra, rb, +1);
-    summary->CollectLeaves(ra, &leaves_a);
-    if (ra == rb) {
-      for (size_t i = 0; i < leaves_a.size(); ++i) {
-        for (size_t j = i + 1; j < leaves_a.size(); ++j) {
-          if (!g.HasEdge(leaves_a[i], leaves_a[j])) {
-            summary->AddEdge(leaves_a[i], leaves_a[j], -1);
-          }
-        }
-      }
-    } else {
-      summary->CollectLeaves(rb, &leaves_b);
-      for (NodeId u : leaves_a) {
-        for (NodeId v : leaves_b) {
-          if (!g.HasEdge(u, v)) summary->AddEdge(u, v, -1);
-        }
-      }
-    }
-  }
-  // Correction p-edges for pairs encoded without a superedge.
-  for (const Edge& e : g.Edges()) {
-    uint64_t key = PairKey(root_map[e.first], root_map[e.second]);
-    auto it = marked.find(key);
-    if (it != marked.end() && it->second) {
-      summary->AddEdge(e.first, e.second, +1);
-    }
-  }
-  return marked.size();
-}
-
-// --------------------------------------------------------------------------
-// Parallel substeps: evaluate against a frozen state on the pool, apply
-// serially in a fixed order. Thread-count invariant by construction (the
-// apply order never depends on which worker evaluated what).
-// --------------------------------------------------------------------------
-
-/// Substep 1, parallel scan. The predicate of one candidate is unaffected
-/// by splicing another (edge counts and leaf-ness never change), so the
-/// frozen-state scan finds exactly the sequential sweep's set; applying in
-/// descending id order reproduces the sequential result bit for bit.
-uint64_t PruneStep1Parallel(SummaryGraph* summary, ThreadPool* pool) {
+/// Substep 1: splice out edge-free non-leaf supernodes. The predicate of
+/// one candidate is unaffected by splicing another (edge counts and
+/// leaf-ness never change), so one frozen-state scan finds every candidate;
+/// they splice in descending id order. Returns #removed.
+uint64_t PruneStep1(SummaryGraph* summary, ThreadPool* pool) {
   const HierarchyForest& forest = summary->forest();
   const unsigned workers = pool->size();
   std::vector<std::vector<SupernodeId>> found(workers);
@@ -224,14 +95,16 @@ uint64_t PruneStep1Parallel(SummaryGraph* summary, ThreadPool* pool) {
   return all.size();
 }
 
-/// Substep 2, round-based: every frontier root is evaluated in parallel
-/// against the same frozen state, then the qualifying dissolutions apply
-/// serially in ascending id order. An apply may invalidate a later
-/// candidate of the same round (it rewrites edges incident to b and to the
-/// children), so a candidate whose recorded nodes were touched this round
-/// is re-evaluated before applying. Touched nodes and fresh roots seed the
-/// next frontier.
-uint64_t PruneStep2Parallel(SummaryGraph* summary, ThreadPool* pool) {
+/// Substep 2: dissolve non-leaf roots with exactly one incident non-loop
+/// edge, pushing the edge down to every child with sign cancellation.
+/// Round-based: every frontier root is evaluated in parallel against the
+/// same frozen state, then the qualifying dissolutions apply serially in
+/// ascending id order. An apply may invalidate a later candidate of the
+/// same round (it rewrites edges incident to b and to the children), so a
+/// candidate whose recorded nodes were touched this round is re-evaluated
+/// before applying. Touched nodes and fresh roots seed the next frontier.
+/// Returns #removed.
+uint64_t PruneStep2(SummaryGraph* summary, ThreadPool* pool) {
   const HierarchyForest& forest = summary->forest();
   struct Candidate {
     SupernodeId b = kInvalidId;
@@ -286,12 +159,62 @@ uint64_t PruneStep2Parallel(SummaryGraph* summary, ThreadPool* pool) {
   return removed;
 }
 
-/// Substep 3, parallel: the pair tallies, the marked-pair decisions, the
-/// removal sweep, and the expensive leaf-level correction products are all
-/// computed on the pool against the frozen state; edits apply serially.
-/// The final edge set is exactly the sequential substep's.
-uint64_t PruneStep3Parallel(SummaryGraph* summary, const graph::Graph& g,
-                            ThreadPool* pool) {
+/// Dense index of substep 3's adjacent root pairs: an open-addressing
+/// table (linear probing) from a root-pair key to its insertion rank, so
+/// every per-pair count is an array. Slots hold only the rank (keys live
+/// once, in keys()), which keeps the table small. Filled serially, then
+/// read-only: Find is safe from several workers at once.
+class PairIndex {
+ public:
+  static constexpr uint32_t kNone = ~uint32_t{0};
+
+  /// Sized for at most `max_keys` keys at load factor <= 1/2.
+  explicit PairIndex(uint64_t max_keys) {
+    uint64_t capacity = 16;
+    while (capacity < 2 * max_keys) capacity <<= 1;
+    slots_.assign(capacity, kNone);
+    mask_ = capacity - 1;
+    keys_.reserve(max_keys);
+  }
+
+  /// The key's index, inserting it as keys().size() if absent.
+  uint32_t Insert(uint64_t key) {
+    for (uint64_t i = Mix64(key) & mask_;; i = (i + 1) & mask_) {
+      uint32_t& slot = slots_[i];
+      if (slot == kNone) {
+        slot = static_cast<uint32_t>(keys_.size());
+        keys_.push_back(key);
+        return slot;
+      }
+      if (keys_[slot] == key) return slot;
+    }
+  }
+
+  /// The key's index, or kNone.
+  uint32_t Find(uint64_t key) const {
+    for (uint64_t i = Mix64(key) & mask_;; i = (i + 1) & mask_) {
+      const uint32_t slot = slots_[i];
+      if (slot == kNone || keys_[slot] == key) return slot;
+    }
+  }
+
+  /// Keys by index.
+  const std::vector<uint64_t>& keys() const { return keys_; }
+
+ private:
+  std::vector<uint32_t> slots_;  ///< key index, or kNone for an empty slot
+  uint64_t mask_ = 0;
+  std::vector<uint64_t> keys_;
+};
+
+/// Substep 3: per adjacent root pair (including self pairs), switch to the
+/// optimal flat encoding when strictly cheaper. Superedges are tallied per
+/// root pair once, into a dense pair index, so subedge counts and decisions
+/// are per-pair arrays. The counts, the removal sweep and the leaf-level
+/// correction products run on the pool against the frozen state; edits
+/// apply serially in pair-key order. Returns #pairs rewritten.
+uint64_t PruneStep3(SummaryGraph* summary, const graph::Graph& g,
+                    ThreadPool* pool) {
   const HierarchyForest& forest = summary->forest();
   const std::vector<SupernodeId> root_map = forest.ComputeRootMap();
   const SupernodeId cap = forest.capacity();
@@ -299,52 +222,67 @@ uint64_t PruneStep3Parallel(SummaryGraph* summary, const graph::Graph& g,
   constexpr uint64_t kNodeGrain = 2048;
   constexpr uint64_t kEdgeGrain = 8192;
 
-  // Current superedge count per root pair.
-  std::vector<std::unordered_map<uint64_t, uint32_t>> cur_local(workers);
-  pool->ParallelFor(cap, kNodeGrain,
-                    [&](uint64_t begin, uint64_t end, unsigned w) {
-                      auto& local = cur_local[w];
-                      for (uint64_t i = begin; i < end; ++i) {
-                        SupernodeId x = static_cast<SupernodeId>(i);
-                        summary->ForEachEdgeOf(
-                            x, [&](SupernodeId y, EdgeSign) {
-                              if (x > y) return;  // each superedge once
-                              ++local[PairKey(root_map[x], root_map[y])];
-                            });
-                      }
-                    });
-  std::unordered_map<uint64_t, uint32_t> current;
-  for (auto& local : cur_local) {
-    for (const auto& [key, count] : local) current[key] += count;
-  }
+  // Superedge count per root pair. Both are sized up front for the most
+  // pairs there can be (one per superedge).
+  const uint64_t max_pairs = summary->p_count() + summary->n_count();
+  PairIndex pairs(max_pairs);
+  std::vector<uint32_t> superedges;
+  superedges.reserve(max_pairs);
+  summary->ForEachEdge([&](SupernodeId x, SupernodeId y, EdgeSign) {
+    const uint32_t p = pairs.Insert(PairKey(root_map[x], root_map[y]));
+    if (p == superedges.size()) superedges.push_back(0);
+    ++superedges[p];
+  });
+  const size_t num_pairs = superedges.size();
+  if (num_pairs == 0) return 0;
+  const std::vector<uint64_t>& pair_key = pairs.keys();
+  auto index_of = [&](SupernodeId x, SupernodeId y) {
+    return pairs.Find(PairKey(root_map[x], root_map[y]));
+  };
 
-  // Subedge count per root pair, restricted to pairs that have superedges
-  // (only those can be marked; `current` is read-only here).
-  std::vector<std::unordered_map<uint64_t, uint64_t>> sub_local(workers);
+  // Subedge count per pair (only pairs with superedges can be marked), in
+  // per-worker arrays summed into worker 0's.
+  std::vector<std::vector<uint64_t>> sub_local(workers);
+  sub_local[0].assign(num_pairs, 0);
   const auto& graph_edges = g.Edges();
   pool->ParallelFor(graph_edges.size(), kEdgeGrain,
                     [&](uint64_t begin, uint64_t end, unsigned w) {
                       auto& local = sub_local[w];
+                      if (local.empty()) local.assign(num_pairs, 0);
                       for (uint64_t i = begin; i < end; ++i) {
                         const Edge& e = graph_edges[i];
-                        uint64_t key =
-                            PairKey(root_map[e.first], root_map[e.second]);
-                        if (current.count(key)) ++local[key];
+                        uint32_t p = index_of(e.first, e.second);
+                        if (p != PairIndex::kNone) ++local[p];
                       }
                     });
-  std::unordered_map<uint64_t, uint64_t> subedges;
-  for (auto& local : sub_local) {
-    for (const auto& [key, count] : local) subedges[key] += count;
+  std::vector<uint64_t>& subedges = sub_local[0];
+  for (unsigned w = 1; w < workers; ++w) {
+    for (size_t p = 0; p < sub_local[w].size(); ++p) {
+      subedges[p] += sub_local[w][p];
+    }
   }
 
-  // Decide marked pairs (cheap arithmetic; serial). Kept in sorted order
-  // so the apply sequence below is reproducible.
-  std::unordered_map<uint64_t, bool> marked =
-      DecideMarkedPairs(forest, current, subedges);
+  // Decide each pair: keep it, re-encode it as a superedge plus n-edge
+  // corrections, or as p-edge corrections alone. Marked pairs apply in
+  // pair-key order.
+  enum Action : uint8_t { kKeep, kSuperedge, kCorrectionsOnly };
+  std::vector<uint8_t> action(num_pairs, kKeep);
+  std::vector<uint32_t> marked;
+  for (uint32_t p = 0; p < num_pairs; ++p) {
+    SupernodeId ra = PairFirst(pair_key[p]);
+    SupernodeId rb = PairSecond(pair_key[p]);
+    uint64_t e_ab = subedges[p];
+    uint64_t sa = forest.Size(ra);
+    uint64_t t_ab = ra == rb ? sa * (sa - 1) / 2 : sa * forest.Size(rb);
+    uint64_t with_super = 1 + (t_ab - e_ab);
+    if (std::min(e_ab, with_super) >= superedges[p]) continue;
+    action[p] = e_ab <= with_super ? kCorrectionsOnly : kSuperedge;
+    marked.push_back(p);
+  }
   if (marked.empty()) return 0;
-  std::vector<std::pair<uint64_t, bool>> marked_list(marked.begin(),
-                                                     marked.end());
-  std::sort(marked_list.begin(), marked_list.end());
+  std::sort(marked.begin(), marked.end(), [&](uint32_t a, uint32_t b) {
+    return pair_key[a] < pair_key[b];
+  });
 
   // Collect and apply the removals of every marked pair's superedges.
   std::vector<std::vector<std::pair<SupernodeId, SupernodeId>>> rem_local(
@@ -356,9 +294,8 @@ uint64_t PruneStep3Parallel(SummaryGraph* summary, const graph::Graph& g,
                         SupernodeId x = static_cast<SupernodeId>(i);
                         summary->ForEachEdgeOf(
                             x, [&](SupernodeId y, EdgeSign) {
-                              if (x > y) return;
-                              if (marked.count(
-                                      PairKey(root_map[x], root_map[y]))) {
+                              if (x > y) return;  // each superedge once
+                              if (action[index_of(x, y)] != kKeep) {
                                 local.emplace_back(x, y);
                               }
                             });
@@ -376,13 +313,13 @@ uint64_t PruneStep3Parallel(SummaryGraph* summary, const graph::Graph& g,
     std::vector<SupernodeId> stack;
   };
   std::vector<Scratch> scratch(workers);
-  std::vector<std::vector<Edge>> n_edges(marked_list.size());
-  pool->Run(marked_list.size(), [&](uint64_t idx, unsigned w) {
-    const auto& [key, corrections_only] = marked_list[idx];
-    if (corrections_only) return;  // p-edges collected in the sweep below
+  std::vector<std::vector<Edge>> n_edges(marked.size());
+  pool->Run(marked.size(), [&](uint64_t idx, unsigned w) {
+    const uint32_t p = marked[idx];
+    if (action[p] != kSuperedge) return;  // p-edges come from the sweep below
     Scratch& sc = scratch[w];
-    SupernodeId ra = PairFirst(key);
-    SupernodeId rb = PairSecond(key);
+    SupernodeId ra = PairFirst(pair_key[p]);
+    SupernodeId rb = PairSecond(pair_key[p]);
     std::vector<Edge>& out = n_edges[idx];
     summary->CollectLeaves(ra, &sc.leaves_a, &sc.stack);
     if (ra == rb) {
@@ -410,25 +347,24 @@ uint64_t PruneStep3Parallel(SummaryGraph* summary, const graph::Graph& g,
                       auto& local = p_local[w];
                       for (uint64_t i = begin; i < end; ++i) {
                         const Edge& e = graph_edges[i];
-                        auto it = marked.find(
-                            PairKey(root_map[e.first], root_map[e.second]));
-                        if (it != marked.end() && it->second) {
+                        uint32_t p = index_of(e.first, e.second);
+                        if (p != PairIndex::kNone && action[p] == kCorrectionsOnly) {
                           local.push_back(e);
                         }
                       }
                     });
 
   // Serial apply: superedges + their n-edge corrections, then p-edges.
-  for (size_t idx = 0; idx < marked_list.size(); ++idx) {
-    const auto& [key, corrections_only] = marked_list[idx];
-    if (corrections_only) continue;
-    summary->AddEdge(PairFirst(key), PairSecond(key), +1);
+  for (size_t idx = 0; idx < marked.size(); ++idx) {
+    const uint32_t p = marked[idx];
+    if (action[p] != kSuperedge) continue;
+    summary->AddEdge(PairFirst(pair_key[p]), PairSecond(pair_key[p]), +1);
     for (const Edge& e : n_edges[idx]) summary->AddEdge(e.first, e.second, -1);
   }
   for (const auto& local : p_local) {
     for (const Edge& e : local) summary->AddEdge(e.first, e.second, +1);
   }
-  return marked_list.size();
+  return marked.size();
 }
 
 }  // namespace
@@ -436,9 +372,11 @@ uint64_t PruneStep3Parallel(SummaryGraph* summary, const graph::Graph& g,
 PruneAblation PruneSummary(summary::SummaryGraph* summary,
                            const graph::Graph& g,
                            const PruneOptions& options) {
-  // Note: a pool of size 1 still runs the parallel algorithms (inline), so
-  // the pruned summary is identical for every pool size.
-  ThreadPool* pool = options.pool;
+  // Without a caller pool the substeps run inline on a one-worker pool
+  // (it spawns no thread); the pruned summary is the same either way.
+  std::optional<ThreadPool> inline_pool;
+  ThreadPool* pool =
+      options.pool != nullptr ? options.pool : &inline_pool.emplace(1);
   PruneAblation ablation;
   ablation.stage[0] = summary::ComputeStats(*summary);
   for (uint32_t round = 0; round < options.rounds; ++round) {
@@ -451,18 +389,11 @@ PruneAblation PruneSummary(summary::SummaryGraph* summary,
       break;
     }
     uint64_t changes = 0;
-    if (options.enable_step1) {
-      changes += pool ? PruneStep1Parallel(summary, pool) : PruneStep1(summary);
-    }
+    if (options.enable_step1) changes += PruneStep1(summary, pool);
     if (round == 0) ablation.stage[1] = summary::ComputeStats(*summary);
-    if (options.enable_step2) {
-      changes += pool ? PruneStep2Parallel(summary, pool) : PruneStep2(summary);
-    }
+    if (options.enable_step2) changes += PruneStep2(summary, pool);
     if (round == 0) ablation.stage[2] = summary::ComputeStats(*summary);
-    if (options.enable_step3) {
-      changes +=
-          pool ? PruneStep3Parallel(summary, g, pool) : PruneStep3(summary, g);
-    }
+    if (options.enable_step3) changes += PruneStep3(summary, g, pool);
     if (round == 0) ablation.stage[3] = summary::ComputeStats(*summary);
     if (changes == 0) break;
   }

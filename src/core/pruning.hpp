@@ -9,14 +9,12 @@
 // Every substep preserves the net signed coverage of every subnode pair,
 // so the summary keeps representing the same graph.
 //
-// With a non-null PruneOptions::pool the substeps run in the merge
-// engine's evaluate-parallel / apply-serial style: candidates and edge
-// rewrites are computed in parallel against a frozen state, then applied
-// serially in a fixed order with revalidation. The parallel path is
-// deterministic and thread-count invariant (a pool of size 1 produces the
-// same summary as a pool of size 8); substeps 1 and 3 produce exactly the
-// sequential result, substep 2 dissolves roots in sorted-id rounds instead
-// of the sequential path's stack order (equally lossless).
+// Each substep runs in the merge engine's evaluate-parallel / apply-serial
+// style: candidates and edge rewrites are computed on a pool against a
+// frozen state, then applied serially in a fixed order with revalidation
+// (substep 2 dissolves roots in sorted-id rounds). There is one algorithm
+// at every pool size: no pool runs it inline, and the pruned summary is
+// byte-identical with no pool, a pool of 1 and a pool of 8.
 #ifndef SLUGGER_CORE_PRUNING_HPP_
 #define SLUGGER_CORE_PRUNING_HPP_
 
@@ -33,8 +31,8 @@ struct PruneOptions {
   bool enable_step1 = true;
   bool enable_step2 = true;
   bool enable_step3 = true;
-  /// Non-null: run the parallel pruning path on this pool (any size).
-  /// Null: the historical sequential path.
+  /// Pool the substeps run on (any size). Null runs them inline on the
+  /// calling thread, and prunes exactly as any pool does.
   ThreadPool* pool = nullptr;
   /// Polled at round boundaries; a fired token skips the remaining rounds
   /// (every substep is lossless, so the summary stays valid).

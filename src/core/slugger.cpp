@@ -304,14 +304,11 @@ SluggerResult Summarize(const graph::Graph& g, const SluggerConfig& config,
   }
   result.merge_seconds = total_timer.Seconds();
 
-  // Pruning (paper §III-B4), on the pool when one exists (thread-count
-  // invariant; see PruneOptions::pool).
+  // Pruning (paper §III-B4), on the pool when one exists and inline
+  // otherwise (same output; see PruneOptions::pool).
   WallTimer prune_timer;
   PruneOptions popt;
   popt.rounds = config.pruning_rounds;
-  popt.enable_step1 = config.prune_step1;
-  popt.enable_step2 = config.prune_step2;
-  popt.enable_step3 = config.prune_step3;
   popt.pool = pool;
   popt.cancel = hooks.cancel;
   if (config.pruning_rounds > 0) {

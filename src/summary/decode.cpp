@@ -1,9 +1,8 @@
 #include "summary/decode.hpp"
 
 #include <algorithm>
-#include <unordered_map>
+#include <optional>
 
-#include "graph/edge_list.hpp"
 #include "util/hashing.hpp"
 
 namespace slugger::summary {
@@ -16,51 +15,16 @@ struct SuperEdge {
   EdgeSign sign;
 };
 
-/// The historical single-threaded path: one global coverage map.
-graph::Graph DecodeSequential(const SummaryGraph& summary) {
-  const NodeId n = summary.num_leaves();
-
-  std::unordered_map<uint64_t, int32_t> coverage;
-  coverage.reserve(summary.p_count() * 2 + 16);
-
-  std::vector<NodeId> leaves_a;
-  std::vector<NodeId> leaves_b;
-  summary.ForEachEdge([&](SupernodeId a, SupernodeId b, EdgeSign sign) {
-    if (a == b) {
-      summary.CollectLeaves(a, &leaves_a);
-      for (size_t i = 0; i < leaves_a.size(); ++i) {
-        for (size_t j = i + 1; j < leaves_a.size(); ++j) {
-          coverage[PairKey(leaves_a[i], leaves_a[j])] += sign;
-        }
-      }
-    } else {
-      // Non-self superedges join disjoint supernodes (nested pairs are
-      // excluded by the model restriction), so the cross product never
-      // repeats a subnode pair.
-      summary.CollectLeaves(a, &leaves_a);
-      summary.CollectLeaves(b, &leaves_b);
-      for (NodeId u : leaves_a) {
-        for (NodeId v : leaves_b) {
-          coverage[PairKey(u, v)] += sign;
-        }
-      }
-    }
-  });
-
-  graph::EdgeListBuilder builder(n);
-  builder.EnsureNodes(n);
-  for (const auto& [key, net] : coverage) {
-    if (net > 0) builder.Add(PairFirst(key), PairSecond(key));
-  }
-  return graph::Graph::FromCanonicalEdges(n, builder.Finalize());
-}
+/// One covered subnode pair: its canonical key and the covering sign.
+using SignedPair = std::pair<uint64_t, int32_t>;
 
 }  // namespace
 
 graph::Graph Decode(const SummaryGraph& summary, ThreadPool* pool) {
-  if (pool == nullptr || pool->size() <= 1 || summary.num_leaves() < 2) {
-    return DecodeSequential(summary);
-  }
+  // Without a caller pool the phases run inline on a one-worker pool (it
+  // spawns no thread).
+  std::optional<ThreadPool> inline_pool;
+  if (pool == nullptr) pool = &inline_pool.emplace(1);
   const NodeId n = summary.num_leaves();
   const unsigned workers = pool->size();
 
@@ -81,8 +45,7 @@ graph::Graph Decode(const SummaryGraph& summary, ThreadPool* pool) {
 
   // Phase 1: expand superedge slices into per-(worker, range) accumulators.
   // Each signed pair is recorded exactly once, keyed canonically.
-  std::vector<std::vector<std::vector<std::pair<uint64_t, int32_t>>>> buckets(
-      workers);
+  std::vector<std::vector<std::vector<SignedPair>>> buckets(workers);
   for (auto& per_worker : buckets) per_worker.resize(num_ranges);
   struct ExpandScratch {
     std::vector<NodeId> leaves_a;
@@ -120,24 +83,30 @@ graph::Graph Decode(const SummaryGraph& summary, ThreadPool* pool) {
         }
       });
 
-  // Phase 2: per range, fold every worker's bucket into a net-coverage map
-  // and emit the surviving pairs in canonical order. Range r's keys all
-  // precede range r+1's, so per-range sorted outputs concatenate sorted.
+  // Phase 2: per range, gather every worker's bucket, sort it by pair key
+  // and sum each key's signs; pairs with positive net coverage come out in
+  // canonical order. Range r's keys all precede range r+1's, so per-range
+  // outputs concatenate sorted.
   std::vector<std::vector<Edge>> range_edges(num_ranges);
   pool->Run(num_ranges, [&](uint64_t r, unsigned) {
-    size_t total = 0;
-    for (unsigned w = 0; w < workers; ++w) total += buckets[w][r].size();
-    if (total == 0) return;
-    std::unordered_map<uint64_t, int32_t> net;
-    net.reserve(total * 2);
-    for (unsigned w = 0; w < workers; ++w) {
-      for (const auto& [key, sign] : buckets[w][r]) net[key] += sign;
+    std::vector<SignedPair> pairs = std::move(buckets[0][r]);
+    for (unsigned w = 1; w < workers; ++w) {
+      pairs.insert(pairs.end(), buckets[w][r].begin(), buckets[w][r].end());
+      std::vector<SignedPair>().swap(buckets[w][r]);
     }
+    std::sort(pairs.begin(), pairs.end(),
+              [](const SignedPair& x, const SignedPair& y) {
+                return x.first < y.first;
+              });
     std::vector<Edge>& out = range_edges[r];
-    for (const auto& [key, cov] : net) {
-      if (cov > 0) out.emplace_back(PairFirst(key), PairSecond(key));
+    for (size_t i = 0; i < pairs.size();) {
+      const uint64_t key = pairs[i].first;
+      int32_t net = 0;
+      for (; i < pairs.size() && pairs[i].first == key; ++i) {
+        net += pairs[i].second;
+      }
+      if (net > 0) out.emplace_back(PairFirst(key), PairSecond(key));
     }
-    std::sort(out.begin(), out.end());
   });
 
   std::vector<Edge> edges;

@@ -13,10 +13,10 @@ namespace slugger::summary {
 /// Cost is linear in the total pair coverage of all superedges, which for
 /// SLUGGER outputs is O(|E| + cancelled pairs).
 ///
-/// With a non-null `pool`, reconstruction runs in parallel: workers expand
-/// disjoint slices of the superedge list into thread-local accumulators
-/// bucketed by the smaller endpoint's node range, then each range is
-/// reduced and emitted independently. The decoded graph is identical for
+/// Workers expand disjoint slices of the superedge list into per-worker
+/// accumulators bucketed by the smaller endpoint's node range, then each
+/// range is reduced and emitted independently. A null `pool` runs the same
+/// phases inline on the calling thread. The decoded graph is identical for
 /// every pool size (including none) — net coverage per pair is a sum, and
 /// ranges concatenate in canonical order.
 graph::Graph Decode(const SummaryGraph& summary, ThreadPool* pool = nullptr);

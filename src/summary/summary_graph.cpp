@@ -47,11 +47,6 @@ EdgeSign SummaryGraph::RemoveEdge(SupernodeId a, SupernodeId b) {
   return sign;
 }
 
-void SummaryGraph::CollectLeaves(SupernodeId s, std::vector<NodeId>* out) const {
-  out->clear();
-  forest_.ForEachLeaf(s, [&](NodeId u) { out->push_back(u); });
-}
-
 void SummaryGraph::CollectLeaves(SupernodeId s, std::vector<NodeId>* out,
                                  std::vector<SupernodeId>* stack) const {
   out->clear();

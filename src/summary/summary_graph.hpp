@@ -80,11 +80,9 @@ class SummaryGraph {
     forest_.SpliceOut(s);
   }
 
-  /// Collects the leaves (subnode ids) of s into a reusable buffer.
-  void CollectLeaves(SupernodeId s, std::vector<NodeId>* out) const;
-
-  /// CollectLeaves with a caller-provided traversal stack — safe to call
-  /// concurrently from several threads (each with its own buffers).
+  /// Collects the leaves (subnode ids) of s into a reusable buffer, using
+  /// a caller-provided traversal stack — safe to call concurrently from
+  /// several threads (each with its own buffers).
   void CollectLeaves(SupernodeId s, std::vector<NodeId>* out,
                      std::vector<SupernodeId>* stack) const;
 
