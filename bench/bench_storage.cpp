@@ -138,13 +138,7 @@ int main() {
   const double total_queries =
       static_cast<double>(batch_size) * static_cast<double>(reps);
 
-  storage::OpenOptions serve_open;
-  serve_open.mode = storage::OpenOptions::Mode::kPaged;
-  // Serving configuration: keep the decoded-record working set of the
-  // batch hot, the way a server sized for its traffic would.
-  serve_open.record_cache_capacity =
-      static_cast<uint32_t>(batch_size > (1u << 20) ? (1u << 20) : batch_size);
-  StatusOr<CompressedGraph> paged = storage::Open(v2_path, serve_open);
+  StatusOr<CompressedGraph> paged = storage::Open(v2_path, paged_open);
   if (!paged.ok()) {
     std::fprintf(stderr, "paged open failed: %s\n",
                  paged.status().ToString().c_str());

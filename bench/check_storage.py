@@ -7,9 +7,9 @@ when either of the paged format's two serving promises regresses:
   1. Cold open: a paged open reads only the header and page table, so it
      must be at least --min-open-speedup (default 10x) faster than the
      monolithic load of the same summary.
-  2. Warm throughput: once the record cache is warm, paged batch queries
-     must stay within --max-query-slowdown (default 2x) of the in-memory
-     walk.
+  2. Warm throughput: once the batch's records are published and its
+     pages fetched, paged batch queries must stay within
+     --max-query-slowdown (default 2x) of the in-memory walk.
 
 Also requires the in-memory and paged query sweeps to have agreed on
 their checksums (same answers off disk as from memory).

@@ -109,18 +109,18 @@ ShardRange ShardBounds(size_t batch, size_t shard, size_t shards) {
 
 }  // namespace
 
-// States: 0 = serving paged, 1 = materialized (summary/leaf_rank set),
+// States: 0 = serving paged, 1 = materialized (summary/layout set),
 // 2 = materialization failed (error set; queries keep serving paged).
 struct CompressedGraph::PagedBox {
   std::shared_ptr<storage::PagedSummarySource> source;
   Mutex mu;
   std::atomic<int> state{0};
-  // summary / leaf_rank are written once under mu and PUBLISHED by the
+  // summary / layout are written once under mu and PUBLISHED by the
   // release-store of state (readers acquire-load state == 1 before
   // touching them), so they are protocol-synchronized, not guarded-by —
   // the sync.hpp convention for verify-once/publish-once data.
   std::shared_ptr<const summary::SummaryGraph> summary;
-  std::shared_ptr<const std::vector<uint32_t>> leaf_rank;
+  std::shared_ptr<const summary::CoverLayout> layout;
   Status error SLUGGER_GUARDED_BY(mu);
 
   // Query-error observability (query_errors()/last_status()): counted
@@ -137,17 +137,38 @@ struct CompressedGraph::PagedBox {
   }
 };
 
+struct CompressedGraph::LayoutBox {
+  Mutex mu;
+  // Written once under mu and PUBLISHED by the release-store of ready.
+  std::unique_ptr<const summary::CoverLayout> layout SLUGGER_GUARDED_BY(mu);
+  std::atomic<const summary::CoverLayout*> ready{nullptr};
+
+  const summary::CoverLayout& Get(const summary::SummaryGraph& summary)
+      SLUGGER_REQUIRES(!mu) {
+    const summary::CoverLayout* built = ready.load(std::memory_order_acquire);
+    if (built != nullptr) return *built;
+    MutexLock lock(&mu);
+    if (layout == nullptr) {
+      layout = std::make_unique<const summary::CoverLayout>(summary);
+      ready.store(layout.get(), std::memory_order_release);
+    }
+    return *layout;
+  }
+};
+
+CompressedGraph::CompressedGraph() : layout_(std::make_shared<LayoutBox>()) {}
+
 CompressedGraph::CompressedGraph(summary::SummaryGraph summary)
     : summary_(std::move(summary)),
       stats_(summary::ComputeStats(summary_)),
-      leaf_rank_(summary_.forest().ComputeLeafPreorder()),
+      layout_(std::make_shared<LayoutBox>()),
       num_nodes_(summary_.num_leaves()) {}
 
 CompressedGraph::CompressedGraph(summary::SummaryGraph summary,
                                  summary::SummaryStats stats)
     : summary_(std::move(summary)),
       stats_(stats),
-      leaf_rank_(summary_.forest().ComputeLeafPreorder()),
+      layout_(std::make_shared<LayoutBox>()),
       num_nodes_(summary_.num_leaves()) {}
 
 CompressedGraph::CompressedGraph(
@@ -186,11 +207,11 @@ const summary::SummaryGraph& CompressedGraph::ActiveSummary() const {
   return summary_;
 }
 
-const std::vector<uint32_t>& CompressedGraph::ActiveLeafRank() const {
+const summary::CoverLayout& CompressedGraph::ActiveLayout() const {
   if (box_ && box_->state.load(std::memory_order_acquire) == 1) {
-    return *box_->leaf_rank;
+    return *box_->layout;
   }
-  return leaf_rank_;
+  return layout_->Get(summary_);
 }
 
 Status CompressedGraph::Materialize() const {
@@ -208,8 +229,7 @@ Status CompressedGraph::Materialize() const {
   }
   auto owned = std::make_shared<const summary::SummaryGraph>(
       std::move(rebuilt).value());
-  box_->leaf_rank = std::make_shared<const std::vector<uint32_t>>(
-      owned->forest().ComputeLeafPreorder());
+  box_->layout = std::make_shared<const summary::CoverLayout>(*owned);
   box_->summary = std::move(owned);
   box_->state.store(1, std::memory_order_release);
   return Status::OK();
@@ -249,7 +269,7 @@ const std::vector<NodeId>& CompressedGraph::Neighbors(
     if (!served.ok()) box_->RecordError(served);
     return scratch->result;
   }
-  return summary::QueryNeighbors(ActiveSummary(), v, scratch, overrides);
+  return summary::QueryNeighbors(ActiveLayout(), v, scratch, overrides);
 }
 
 const std::vector<NodeId>& CompressedGraph::Neighbors(NodeId v) const {
@@ -275,7 +295,7 @@ size_t CompressedGraph::Degree(
     }
     return static_cast<size_t>(degree.value());
   }
-  return summary::QueryDegree(ActiveSummary(), v, scratch, overrides);
+  return summary::QueryDegree(ActiveLayout(), v, scratch, overrides);
 }
 
 size_t CompressedGraph::Degree(NodeId v) const {
@@ -309,8 +329,7 @@ Status CompressedGraph::NeighborsBatch(std::span<const NodeId> nodes,
     if (!served.ok()) box_->RecordError(served);
     return served;
   }
-  summary::QueryNeighborsBatch(ActiveSummary(), nodes, out, scratch,
-                               &ActiveLeafRank());
+  summary::QueryNeighborsBatch(ActiveLayout(), nodes, out, scratch);
   return Status::OK();
 }
 
@@ -325,8 +344,7 @@ Status CompressedGraph::NeighborsBatch(std::span<const NodeId> nodes,
   if (pool == nullptr || pool->size() <= 1 ||
       nodes.size() < kMinParallelBatch || ServePaged()) {
     // Paged handles stay sequential: the batch already amortizes page
-    // faults via file-preorder, and shards would contend on the record
-    // cache for little gain.
+    // faults via file-preorder.
     return NeighborsBatch(nodes, out);
   }
   Status valid = ValidateBatch(nodes);
@@ -340,12 +358,11 @@ Status CompressedGraph::NeighborsBatch(std::span<const NodeId> nodes,
   // worker a contiguous slice of the sorted order: shards keep the
   // ancestor-chain amortization and re-sorting a presorted slice inside
   // QueryNeighborsBatch is near-free.
-  const summary::SummaryGraph& active = ActiveSummary();
-  const std::vector<uint32_t>& leaf_rank = ActiveLeafRank();
+  const summary::CoverLayout& layout = ActiveLayout();
   const size_t batch = nodes.size();
   std::vector<uint32_t> order;
   std::vector<NodeId> sorted_nodes;
-  SortBatchByRank(nodes, leaf_rank, &order, &sorted_nodes);
+  SortBatchByRank(nodes, layout.rank(), &order, &sorted_nodes);
 
   // Each shard's slice is already locality-sorted, so the identity
   // permutation is a valid precomputed order: shards skip the per-slice
@@ -359,10 +376,10 @@ Status CompressedGraph::NeighborsBatch(std::span<const NodeId> nodes,
   pool->Run(shards, [&](uint64_t shard, unsigned) {
     const ShardRange range = ShardBounds(batch, shard, shards);
     summary::QueryNeighborsBatch(
-        active,
+        layout,
         std::span<const NodeId>(sorted_nodes)
             .subspan(range.begin, range.end - range.begin),
-        &shard_results[shard], &ThreadLocalBatchScratch(), &leaf_rank,
+        &shard_results[shard], &ThreadLocalBatchScratch(),
         std::span<const uint32_t>(identity)
             .subspan(0, range.end - range.begin));
   });
@@ -405,8 +422,7 @@ Status CompressedGraph::DegreeBatch(std::span<const NodeId> nodes,
     if (!served.ok()) box_->RecordError(served);
     return served;
   }
-  summary::QueryDegreeBatch(ActiveSummary(), nodes, degrees, scratch,
-                            &ActiveLeafRank());
+  summary::QueryDegreeBatch(ActiveLayout(), nodes, degrees, scratch);
   return Status::OK();
 }
 
@@ -429,12 +445,11 @@ Status CompressedGraph::DegreeBatch(std::span<const NodeId> nodes,
   o.batch_nodes->Add(nodes.size());
   obs::ScopedTimer obs_timer(o.batch_seconds);
 
-  const summary::SummaryGraph& active = ActiveSummary();
-  const std::vector<uint32_t>& leaf_rank = ActiveLeafRank();
+  const summary::CoverLayout& layout = ActiveLayout();
   const size_t batch = nodes.size();
   std::vector<uint32_t> order;
   std::vector<NodeId> sorted_nodes;
-  SortBatchByRank(nodes, leaf_rank, &order, &sorted_nodes);
+  SortBatchByRank(nodes, layout.rank(), &order, &sorted_nodes);
 
   // Identity precomputed order per slice, as in the Neighbors overload.
   std::vector<uint32_t> identity(batch);
@@ -446,10 +461,10 @@ Status CompressedGraph::DegreeBatch(std::span<const NodeId> nodes,
     const ShardRange range = ShardBounds(batch, shard, shards);
     std::vector<uint64_t> local;
     summary::QueryDegreeBatch(
-        active,
+        layout,
         std::span<const NodeId>(sorted_nodes)
             .subspan(range.begin, range.end - range.begin),
-        &local, &ThreadLocalBatchScratch(), &leaf_rank,
+        &local, &ThreadLocalBatchScratch(),
         std::span<const uint32_t>(identity)
             .subspan(0, range.end - range.begin));
     // Shards own disjoint ranges of the order permutation, so these

@@ -20,9 +20,10 @@
 // concurrently, PROVIDED each querying thread passes its own
 // QueryScratch (or uses the scratch-free overloads, which keep one
 // scratch per thread internally). Lazy materialization synchronizes
-// internally and happens at most once per underlying source. Non-const
-// operations (move-assign, destruction) require external exclusion, as
-// usual.
+// internally and happens at most once per underlying source; so does the
+// in-memory record layout queries walk, built at the first query. Non-
+// const operations (move-assign, destruction) require external
+// exclusion, as usual.
 #ifndef SLUGGER_API_COMPRESSED_GRAPH_HPP_
 #define SLUGGER_API_COMPRESSED_GRAPH_HPP_
 
@@ -54,7 +55,7 @@ using NeighborOverride = summary::NeighborOverride;
 class CompressedGraph {
  public:
   /// Empty handle (0 nodes); useful only as a move-assign target.
-  CompressedGraph() = default;
+  CompressedGraph();
 
   /// Takes ownership of a summary and computes its statistics.
   explicit CompressedGraph(summary::SummaryGraph summary);
@@ -182,8 +183,9 @@ class CompressedGraph {
   /// Exact global triangle count of the represented graph.
   uint64_t Triangles(ThreadPool* pool = nullptr) const;
 
-  /// Reconstructs the exact represented graph. With a pool,
-  /// reconstruction is parallel and byte-identical to the sequential one.
+  /// Reconstructs the exact represented graph. A pool parallelizes the
+  /// reconstruction; without one it runs inline on the calling thread, and
+  /// the decoded graph is identical for every pool size.
   graph::Graph Decode(ThreadPool* pool = nullptr) const;
 
   /// Checks that this summary losslessly represents `expected`.
@@ -201,21 +203,24 @@ class CompressedGraph {
   // and materialization happens at most once no matter how many handles
   // point at it.
   struct PagedBox;
+  // The summary in the walk's record layout, built once, at the first
+  // query that needs it; shared by copies, whose summaries are equal.
+  struct LayoutBox;
 
   Status ValidateBatch(std::span<const NodeId> nodes) const;
   /// True when queries must go to the pages (paged and not yet
   /// materialized — a failed materialization keeps serving paged).
   bool ServePaged() const;
   const summary::SummaryGraph& ActiveSummary() const;
-  const std::vector<uint32_t>& ActiveLeafRank() const;
+  const summary::CoverLayout& ActiveLayout() const;
 
   summary::SummaryGraph summary_;
   summary::SummaryStats stats_;
-  // Leaf preorder of the (immutable) hierarchy, computed once at
-  // construction so every batched query sorts on a cached integer rank
-  // instead of re-deriving hierarchy locality per call. Paged handles
-  // compute it on materialization instead (into box_).
-  std::vector<uint32_t> leaf_rank_;
+  // Every in-memory query walks the layout, and batches sort on its rank.
+  // It is built lazily: a set-up that builds many handles before serving
+  // any (shards, compactions) would otherwise hold every layout at its
+  // memory peak. Paged handles build theirs on materialization (box_).
+  std::shared_ptr<LayoutBox> layout_;
   NodeId num_nodes_ = 0;
   std::shared_ptr<PagedBox> box_;
 };

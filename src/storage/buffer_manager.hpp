@@ -19,6 +19,9 @@
 // (atomics only); the pread backend serializes on one mutex. A PageRef
 // keeps its page's bytes valid and immutable until released — the pread
 // backend never evicts a pinned frame (it overflows instead, see above).
+// On the verify-once backends a page that passed its checksum stays put
+// for the manager's lifetime, so readers that fetched it once may read
+// it through stable_image() with no pin at all.
 //
 // Checksums come from the file's page table; an entry of zero means "not
 // covered here" (the header and page-table pages, which the header's own
@@ -129,6 +132,15 @@ class BufferManager {
   uint32_t num_pages() const { return num_pages_; }
   uint32_t page_size() const { return page_size_; }
   Io backend() const { return backend_; }
+
+  /// The whole file image on the verify-once backends (mmap, memory),
+  /// page p at offset p * page_size; null on pread. These backends never
+  /// move or change a page while the manager lives, so once Fetch has
+  /// returned a page, its bytes here may be read without a pin.
+  const uint8_t* stable_image() const {
+    return backend_ == Io::kPread ? nullptr : map_;
+  }
+
   BufferStats stats() const;
 
  private:

@@ -4,11 +4,12 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cerrno>
 #include <cstring>
+#include <memory>
 #include <new>
-#include <numeric>
 #include <stdexcept>
 #include <sys/stat.h>
 #include <utility>
@@ -20,11 +21,11 @@ namespace slugger::storage {
 
 namespace {
 
-// Decoded-record cache effectiveness across every open paged source.
+// Published-record effectiveness across every open paged source.
 struct RecordCacheObsHandles {
   obs::Counter* hits = obs::MetricsRegistry::Global().GetCounter(
       "slugger_paged_record_cache_hits_total",
-      "ancestor-record lookups served from the decoded cache");
+      "ancestor-record lookups served by a published record");
   obs::Counter* misses = obs::MetricsRegistry::Global().GetCounter(
       "slugger_paged_record_cache_misses_total",
       "ancestor-record lookups that parsed pages");
@@ -88,8 +89,9 @@ class RecordCursor {
   PageRef page_;
 };
 
-/// The batch walk with this thread's chain buffer: its record pins drop
-/// after every batch, its capacity stays (no allocation once warm).
+/// The batch walk with this thread's chain buffer: its handles point into
+/// records the call may own, so they are dropped after every batch; its
+/// capacity stays (no allocation once warm).
 template <bool kDegreesOnly, typename Records>
 Status WalkPagedBatch(const Records& records, std::span<const NodeId> nodes,
                       summary::BatchResult* result,
@@ -144,12 +146,18 @@ StatusOr<std::shared_ptr<PagedSummarySource>> PagedSummarySource::Finish(
   auto src = std::shared_ptr<PagedSummarySource>(new PagedSummarySource());
   src->header_ = header;
   src->buffer_ = std::move(buffer);
-  src->cache_capacity_per_shard_ =
-      options.record_cache_capacity == 0
-          ? 0
-          : std::max<uint32_t>(
-                1, options.record_cache_capacity /
-                       static_cast<uint32_t>(kCacheShards));
+  src->image_ = src->buffer_->stable_image();
+  src->index_shift_ = static_cast<uint32_t>(
+      std::countr_zero(header.page_size / kLeafAtStride));
+  src->record_cap_ = options.record_cache_capacity;
+  if (src->record_cap_ > 0) {
+    src->chunks_ = std::make_unique<std::atomic<Slot*>[]>(
+        (static_cast<uint64_t>(header.total_supernodes()) >> kSlotChunkBits) +
+        1);
+  }
+  src->index_checked_ = std::make_unique<std::atomic<uint8_t>[]>(
+      header.leaf_at.first_page + header.leaf_at.num_pages -
+      header.rank.first_page);
   if (options.eager_verify) {
     // The header checksums cover page 0 only up to kMinPageSize (the
     // parser checks that window's slack); with larger pages the rest of
@@ -262,9 +270,12 @@ StatusOr<uint64_t> PagedSummarySource::LocateRecord(uint32_t fid) const {
   return pos;
 }
 
-StatusOr<PagedSummarySource::DecodedRecord> PagedSummarySource::ParseRecord(
-    uint32_t fid, uint64_t pos) const {
-  RecordCursor cur(buffer_.get(), header_, pos);
+Status PagedSummarySource::ParseRecord(uint32_t fid,
+                                       std::vector<summary::CoverEdge>* cells,
+                                       uint64_t* bytes) const {
+  StatusOr<uint64_t> pos = LocateRecord(fid);
+  if (!pos.ok()) return pos.status();
+  RecordCursor cur(buffer_.get(), header_, pos.value());
   const uint64_t total = header_.total_supernodes();
   const NodeId n = header_.num_leaves;
   uint64_t id = 0, parent_p1 = 0, lo = 0, len = 0, nedges = 0;
@@ -274,29 +285,30 @@ StatusOr<PagedSummarySource::DecodedRecord> PagedSummarySource::ParseRecord(
     return Status::Corruption("record id disagrees with locator");
   }
   if (!(s = cur.Get(&parent_p1)).ok()) return s;
-  DecodedRecord rec;
+  uint32_t parent = kInvalidId;
   if (parent_p1 != 0) {
-    const uint64_t parent = parent_p1 - 1;
+    const uint64_t claimed = parent_p1 - 1;
     // Bottom-up ids make every parent a later, internal supernode.
-    if (parent >= total || parent <= fid || parent < n) {
+    if (claimed >= total || claimed <= fid || claimed < n) {
       return Status::Corruption("record parent out of range");
     }
-    rec.parent = static_cast<uint32_t>(parent);
+    parent = static_cast<uint32_t>(claimed);
   }
   if (!(s = cur.Get(&lo)).ok()) return s;
   if (!(s = cur.Get(&len)).ok()) return s;
   if (len == 0 || lo > n || len > n - lo) {
     return Status::Corruption("record leaf interval out of range");
   }
-  rec.lo = static_cast<uint32_t>(lo);
-  rec.len = static_cast<uint32_t>(len);
   if (!(s = cur.Get(&nedges)).ok()) return s;
   // An edge encodes as three varints of at least one byte each; bound the
   // count by what the remaining stream can back before reserving.
   if (nedges > cur.remaining() / 3) {
     return Status::Corruption("record edge count exceeds the stream");
   }
-  rec.edges.reserve(nedges);
+  cells->clear();
+  cells->reserve(nedges + 1);
+  cells->push_back(
+      summary::PackCoverHeader(parent, static_cast<uint32_t>(nedges)));
   uint64_t prev = 0;
   for (uint64_t i = 0; i < nedges; ++i) {
     uint64_t packed = 0, olo = 0, olen = 0;
@@ -318,110 +330,157 @@ StatusOr<PagedSummarySource::DecodedRecord> PagedSummarySource::ParseRecord(
     if (olen == 0 || olo > n || olen > n - olo) {
       return Status::Corruption("edge endpoint interval out of range");
     }
-    rec.edges.push_back(DecodedEdge{(packed & 1) ? +1 : -1,
-                                    static_cast<uint32_t>(olo),
-                                    static_cast<uint32_t>(olen)});
+    cells->push_back(summary::CoverEdge::Make(static_cast<uint32_t>(olo),
+                                              static_cast<uint32_t>(olen),
+                                              (packed & 1) ? +1 : -1));
   }
   // The hot path stops here: children are only needed by Materialize,
   // which parses the stream sequentially itself.
-  rec.bytes = cur.pos() - pos;
-  return rec;
+  *bytes = cur.pos() - pos.value();
+  return Status::OK();
 }
 
-StatusOr<std::shared_ptr<const PagedSummarySource::DecodedRecord>>
-PagedSummarySource::FetchRecord(uint32_t fid) const {
-  CacheShard& shard = cache_[fid % kCacheShards];
-  if (cache_capacity_per_shard_ > 0) {
-    MutexLock lock(&shard.mu);
-    auto it = shard.map.find(fid);
-    if (it != shard.map.end()) {
-      RecordCacheObs().hits->Add(1);
-      return it->second;
+summary::CoverEdge* PagedSummarySource::Publish(
+    uint32_t fid, std::unique_ptr<summary::CoverEdge[]>* record) const {
+  if (chunks_ == nullptr) return nullptr;
+  // Reserve a place under the cap, then race for the slot: the first
+  // reader to parse fid publishes, later ones adopt its copy.
+  uint32_t used = published_.load(std::memory_order_relaxed);
+  do {
+    if (used >= record_cap_) return nullptr;
+  } while (!published_.compare_exchange_weak(used, used + 1,
+                                             std::memory_order_relaxed));
+  std::atomic<Slot*>& chunk_ref = chunks_[fid >> kSlotChunkBits];
+  Slot* chunk = chunk_ref.load(std::memory_order_acquire);
+  if (chunk == nullptr) {
+    auto fresh = std::make_unique<Slot[]>(size_t{kSlotChunkMask} + 1);
+    if (chunk_ref.compare_exchange_strong(chunk, fresh.get(),
+                                          std::memory_order_acq_rel,
+                                          std::memory_order_acquire)) {
+      chunk = fresh.release();
     }
   }
-  RecordCacheObs().misses->Add(1);
-  StatusOr<uint64_t> pos = LocateRecord(fid);
-  if (!pos.ok()) return pos.status();
-  StatusOr<DecodedRecord> rec = ParseRecord(fid, pos.value());
-  if (!rec.ok()) return rec.status();
-  auto ptr =
-      std::make_shared<const DecodedRecord>(std::move(rec).value());
-  if (cache_capacity_per_shard_ > 0) {
-    MutexLock lock(&shard.mu);
-    if (shard.map.find(fid) == shard.map.end()) {
-      if (shard.map.size() >= cache_capacity_per_shard_ &&
-          !shard.fifo.empty()) {
-        shard.map.erase(shard.fifo.front());
-        shard.fifo.pop_front();
-      }
-      shard.map.emplace(fid, ptr);
-      shard.fifo.push_back(fid);
-    }
+  summary::CoverEdge* expected = nullptr;
+  if (chunk[fid & kSlotChunkMask].compare_exchange_strong(
+          expected, record->get(), std::memory_order_release,
+          std::memory_order_acquire)) {
+    return record->release();
   }
-  return StatusOr<std::shared_ptr<const DecodedRecord>>(std::move(ptr));
+  published_.fetch_sub(1, std::memory_order_relaxed);
+  return expected;
 }
+
+PagedSummarySource::~PagedSummarySource() {
+  if (chunks_ == nullptr) return;
+  const uint64_t num_chunks =
+      (static_cast<uint64_t>(header_.total_supernodes()) >> kSlotChunkBits) +
+      1;
+  for (uint64_t c = 0; c < num_chunks; ++c) {
+    std::unique_ptr<Slot[]> chunk(chunks_[c].load(std::memory_order_relaxed));
+    if (chunk == nullptr) continue;
+    for (uint32_t i = 0; i <= kSlotChunkMask; ++i) {
+      std::unique_ptr<summary::CoverEdge[]> reclaim(
+          chunk[i].load(std::memory_order_relaxed));
+    }
+  }
+}
+
+Status PagedSummarySource::CheckIndexPage(uint32_t page,
+                                          const uint8_t* data) const {
+  const bool rank = page < header_.leaf_at.first_page;
+  const SectionRange& section = rank ? header_.rank : header_.leaf_at;
+  const uint64_t first = static_cast<uint64_t>(page - section.first_page)
+                         << index_shift_;
+  const uint64_t entries =
+      std::min<uint64_t>(uint64_t{1} << index_shift_,
+                         header_.num_leaves - first);
+  for (uint64_t i = 0; i < entries; ++i) {
+    if (GetLE32(data + i * kLeafAtStride) >= header_.num_leaves) {
+      return Status::Corruption(rank ? "rank entry out of range"
+                                     : "leaf_at entry out of range");
+    }
+  }
+  index_checked_[page - header_.rank.first_page].store(
+      1, std::memory_order_release);
+  return Status::OK();
+}
+
+// The rank and leaf_at sections share one entry width, so one index
+// walk (and one first-touch check) serves both.
+static_assert(kRankStride == kLeafAtStride);
 
 template <typename Fn>
-Status PagedSummarySource::ForLeafRange(uint32_t lo, uint32_t len,
-                                        Fn&& fn) const {
-  const uint64_t epp = header_.page_size / kLeafAtStride;
-  uint32_t r = lo;
-  const uint32_t end = lo + len;
-  while (r < end) {
-    const uint32_t page_idx = static_cast<uint32_t>(r / epp);
-    StatusOr<PageRef> ref =
-        buffer_->Fetch(header_.leaf_at.first_page + page_idx);
-    if (!ref.ok()) return ref.status();
-    const uint32_t page_end = static_cast<uint32_t>(
-        std::min<uint64_t>(end, (static_cast<uint64_t>(page_idx) + 1) * epp));
-    const uint8_t* base = ref.value().data();
-    for (; r < page_end; ++r) {
-      const uint32_t leaf = GetLE32(base + (r % epp) * kLeafAtStride);
-      if (leaf >= header_.num_leaves) {
-        return Status::Corruption("leaf_at entry out of range");
-      }
-      fn(static_cast<NodeId>(leaf));
+Status PagedSummarySource::ForIndexRun(const SectionRange& section,
+                                       uint32_t lo, uint32_t last,
+                                       Fn&& fn) const {
+  const uint32_t first_page = section.first_page + (lo >> index_shift_);
+  const uint32_t last_page = section.first_page + (last >> index_shift_);
+  const auto checked = [this](uint32_t page) {
+    return index_checked_[page - header_.rank.first_page].load(
+               std::memory_order_acquire) != 0;
+  };
+  if (image_ != nullptr) {
+    // Verify-once backend: a checked page never moves or changes, so the
+    // run is read in place, across page boundaries, without a pin.
+    for (uint32_t page = first_page; page <= last_page; ++page) {
+      if (checked(page)) continue;
+      StatusOr<PageRef> ref = buffer_->Fetch(page);
+      if (!ref.ok()) return ref.status();
+      Status s = CheckIndexPage(page, ref.value().data());
+      if (!s.ok()) return s;
     }
+    const uint8_t* base =
+        image_ + static_cast<uint64_t>(section.first_page) * header_.page_size;
+    for (uint64_t r = lo; r <= last; ++r) fn(GetLE32(base + r * kLeafAtStride));
+    return Status::OK();
+  }
+  const uint32_t mask = (uint32_t{1} << index_shift_) - 1;
+  uint32_t r = lo;
+  for (uint32_t page = first_page; page <= last_page; ++page) {
+    StatusOr<PageRef> ref = buffer_->Fetch(page);
+    if (!ref.ok()) return ref.status();
+    const uint8_t* data = ref.value().data();
+    if (!checked(page)) {
+      Status s = CheckIndexPage(page, data);
+      if (!s.ok()) return s;
+    }
+    const uint32_t page_last =
+        page == last_page ? last : (r | mask);  // the page's last entry
+    for (; r <= page_last; ++r) fn(GetLE32(data + (r & mask) * kLeafAtStride));
   }
   return Status::OK();
 }
 
 class PagedSummarySource::Records {
  public:
-  /// One ancestor: its id (what chain reuse compares) and its decoded
-  /// record, held so covering it never fetches the record again.
+  /// One ancestor: its id (what chain reuse compares) and its record,
+  /// held so covering it never looks the record up again.
   struct Handle {
     uint32_t fid;
-    std::shared_ptr<const DecodedRecord> record;
+    const summary::CoverEdge* record;
     friend bool operator==(const Handle& a, const Handle& b) {
       return a.fid == b.fid;
     }
   };
 
   explicit Records(const PagedSummarySource* source) : source_(source) {}
+  Records(const Records&) = delete;
+  Records& operator=(const Records&) = delete;
+  /// Tallies the call's lookups into the process-wide counters.
+  ~Records() {
+    if (hits_ != 0) RecordCacheObs().hits->Add(hits_);
+    if (misses_ != 0) RecordCacheObs().misses->Add(misses_);
+  }
 
   NodeId num_leaves() const { return source_->header_.num_leaves; }
 
-  /// Reads the rank section; each rank is bounded before it is used.
   template <typename Fn>
   Status ForEachRank(std::span<const NodeId> nodes, Fn&& fn) const {
-    const PagedHeader& h = source_->header_;
-    const uint64_t epp = h.page_size / kRankStride;
-    PageRef page;  // pinned only while ranking
     for (size_t i = 0; i < nodes.size(); ++i) {
-      const uint32_t pg =
-          h.rank.first_page + static_cast<uint32_t>(nodes[i] / epp);
-      if (!page || page.page() != pg) {
-        StatusOr<PageRef> ref = source_->buffer_->Fetch(pg);
-        if (!ref.ok()) return ref.status();
-        page = std::move(ref.value());
-      }
-      const uint32_t rank =
-          GetLE32(page.data() + (nodes[i] % epp) * kRankStride);
-      if (rank >= h.num_leaves) {
-        return Status::Corruption("rank entry out of range");
-      }
-      fn(i, rank);
+      Status s = source_->ForIndexRun(source_->header_.rank, nodes[i],
+                                      nodes[i],
+                                      [&](uint32_t rank) { fn(i, rank); });
+      if (!s.ok()) return s;
     }
     return Status::OK();
   }
@@ -438,30 +497,57 @@ class PagedSummarySource::Records {
       if (++iters > total) {
         return Status::Corruption("parent cycle in paged hierarchy");
       }
-      StatusOr<std::shared_ptr<const DecodedRecord>> rec =
-          source_->FetchRecord(node);
-      if (!rec.ok()) return rec.status();
-      const uint32_t parent = rec.value()->parent;
-      Status s = fn(Handle{node, std::move(rec).value()});
+      const summary::CoverEdge* record = source_->Published(node);
+      if (record != nullptr) {
+        ++hits_;
+      } else {
+        Status loaded = Load(node, &record);
+        if (!loaded.ok()) return loaded;
+      }
+      Status s = fn(Handle{node, record});
       if (!s.ok()) return s;
-      node = parent;
+      node = summary::CoverParent(record);
     }
     return Status::OK();
   }
 
   template <typename Fn>
   Status ForEachCovered(const Handle& node, Fn&& fn) const {
-    for (const DecodedEdge& e : node.record->edges) {
-      const EdgeSign sign = static_cast<EdgeSign>(e.sign);
-      Status s = source_->ForLeafRange(e.olo, e.olen,
-                                       [&](NodeId u) { fn(u, sign); });
+    for (const summary::CoverEdge& e : summary::CoverEdges(node.record)) {
+      const EdgeSign sign = e.sign();
+      Status s = source_->ForIndexRun(source_->header_.leaf_at, e.lo, e.last(),
+                                      [&](NodeId u) { fn(u, sign); });
       if (!s.ok()) return s;
     }
     return Status::OK();
   }
 
  private:
+  /// Parses fid's record and publishes it, or keeps it until the call
+  /// ends when the cap is reached. A failed parse publishes nothing.
+  Status Load(uint32_t fid, const summary::CoverEdge** record) const {
+    ++misses_;
+    uint64_t bytes = 0;
+    Status s = source_->ParseRecord(fid, &cells_, &bytes);
+    if (!s.ok()) return s;
+    auto parsed =
+        std::make_unique_for_overwrite<summary::CoverEdge[]>(cells_.size());
+    std::copy(cells_.begin(), cells_.end(), parsed.get());
+    *record = source_->Publish(fid, &parsed);
+    if (*record == nullptr) {
+      *record = parsed.get();
+      owned_.push_back(std::move(parsed));
+    }
+    return Status::OK();
+  }
+
   const PagedSummarySource* source_;
+  // Parse buffer, and the records parsed past the cap, which the chains
+  // of this call may still hold.
+  mutable std::vector<summary::CoverEdge> cells_;
+  mutable std::vector<std::unique_ptr<summary::CoverEdge[]>> owned_;
+  mutable uint64_t hits_ = 0;
+  mutable uint64_t misses_ = 0;
 };
 
 Status PagedSummarySource::Neighbors(
@@ -499,12 +585,17 @@ Status PagedSummarySource::DegreeBatch(std::span<const NodeId> nodes,
 StatusOr<ChainInfo> PagedSummarySource::ChainOf(NodeId v) const {
   if (v >= header_.num_leaves) return summary::NodeOutOfRange(v);
   ChainInfo info;
+  std::vector<summary::CoverEdge> cells;
   Status s = Records(this).ForEachAncestor(v, [&](Records::Handle node) {
+    // The layout drops the encoded size; parse the record again for it.
+    uint64_t bytes = 0;
+    Status parsed = ParseRecord(node.fid, &cells, &bytes);
+    if (!parsed.ok()) return parsed;
     info.chain_len++;
-    info.chain_bytes += node.record->bytes;
-    info.num_edges += node.record->edges.size();
-    for (const DecodedEdge& e : node.record->edges) {
-      info.covered_leaves += e.olen;
+    info.chain_bytes += bytes;
+    for (const summary::CoverEdge& e : summary::CoverEdges(node.record)) {
+      info.num_edges++;
+      info.covered_leaves += e.last() - e.lo + 1;
     }
     return Status::OK();
   });
@@ -703,19 +794,18 @@ StatusOr<summary::SummaryGraph> PagedSummarySource::MaterializeImpl() const {
   }
   // The rank and leaf_at sections must agree with the records: rank is
   // the interval start of each leaf, and leaf_at is its inverse.
-  {
-    std::vector<NodeId> leaves(n);
-    std::iota(leaves.begin(), leaves.end(), NodeId{0});
-    std::vector<uint32_t> ranks(n);
-    Status ranked = Records(this).ForEachRank(
-        leaves, [&ranks](size_t v, uint32_t rank) { ranks[v] = rank; });
-    if (!ranked.ok()) return ranked;
+  if (n > 0) {
+    std::vector<uint32_t> ranks;
+    ranks.reserve(n);
+    Status s = ForIndexRun(header_.rank, 0, n - 1,
+                           [&ranks](uint32_t rank) { ranks.push_back(rank); });
+    if (!s.ok()) return s;
     if (!std::equal(ranks.begin(), ranks.end(), lo.begin())) {
       return Status::Corruption("rank section disagrees with records");
     }
     uint32_t at = 0;
     bool inverse_ok = true;
-    Status s = ForLeafRange(0, n, [&](NodeId u) {
+    s = ForIndexRun(header_.leaf_at, 0, n - 1, [&](NodeId u) {
       if (ranks[u] != at) inverse_ok = false;
       ++at;
     });

@@ -18,29 +18,37 @@
 // over the records, chain reuse and duplicate copy included; neighbor
 // lists come out in coverage order, unspecified as in memory.
 //
+// Records are parsed once, with every bound check, into the walk's
+// fixed-width layout (summary/cover_layout.hpp) and published in a
+// per-id slot table: a warm lookup is two acquire loads, with no lock and
+// no reference count. Published records stay until the source is
+// destroyed; record_cache_capacity caps how many are published. On the
+// verify-once backends (mmap, memory) a rank or leaf_at page is fetched
+// once, its entries are bounded once, and the walk then reads it in place
+// without a pin; the pread backend pins each page it reads.
+//
 // Thread-safety: all query methods are const and safe to call from any
 // number of threads concurrently, provided each caller brings its own
-// scratch — the same contract as summary::QueryNeighbors. The decoded-
-// record cache and BufferManager synchronize internally.
+// scratch — the same contract as summary::QueryNeighbors. Racing readers
+// may parse the same record; one copy is published and the rest are
+// dropped. The BufferManager synchronizes internally.
 #ifndef SLUGGER_STORAGE_PAGED_SOURCE_HPP_
 #define SLUGGER_STORAGE_PAGED_SOURCE_HPP_
 
-#include <array>
+#include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "storage/buffer_manager.hpp"
 #include "storage/format.hpp"
+#include "summary/cover_layout.hpp"
 #include "summary/neighbor_query.hpp"
 #include "summary/stats.hpp"
 #include "summary/summary_graph.hpp"
 #include "util/status.hpp"
-#include "util/sync.hpp"
 #include "util/types.hpp"
 
 namespace slugger::storage {
@@ -51,11 +59,14 @@ struct PagedOpenOptions {
   /// corruption into an open-time error at the cost of O(file) I/O —
   /// off by default, which is what makes cold open O(header).
   bool eager_verify = false;
-  /// Decoded supernode records kept hot (across all 16 shards); 0
-  /// disables the cache. Records are small (a few edges each), so the
-  /// default is a few hundred KiB — it is what keeps warm paged query
-  /// throughput near the in-memory walk, which never re-parses varints.
-  uint32_t record_cache_capacity = 4096;
+  /// Cap on the records published in the walk's layout. A published
+  /// record is parsed once and kept until the source is destroyed; a
+  /// record past the cap is parsed on every access into storage its call
+  /// owns. 0 publishes nothing. Publishing costs about 16 B per record (a
+  /// slot, in chunks of 4,096 allocated at their first publish, and a
+  /// header) plus 8 B per superedge end; the default keeps every record
+  /// of a million-supernode file.
+  uint32_t record_cache_capacity = 1u << 20;
 };
 
 /// Page-budget accounting of one node's ancestor chain, for tests that
@@ -76,6 +87,11 @@ class PagedSummarySource {
   /// Takes ownership of a complete in-memory file image.
   static StatusOr<std::shared_ptr<PagedSummarySource>> OpenBuffer(
       std::string bytes, const PagedOpenOptions& options = {});
+
+  /// Frees the published records.
+  ~PagedSummarySource();
+  PagedSummarySource(const PagedSummarySource&) = delete;
+  PagedSummarySource& operator=(const PagedSummarySource&) = delete;
 
   NodeId num_leaves() const { return header_.num_leaves; }
   const PagedHeader& header() const { return header_; }
@@ -120,20 +136,6 @@ class PagedSummarySource {
   StatusOr<ChainInfo> ChainOf(NodeId v) const;
 
  private:
-  struct DecodedEdge {
-    int32_t sign;
-    uint32_t olo;
-    uint32_t olen;
-  };
-  /// The hot-path slice of one record: enough to climb and to cover.
-  struct DecodedRecord {
-    uint32_t parent = kInvalidId;  ///< fid of the parent, kInvalidId = root
-    uint32_t lo = 0;
-    uint32_t len = 0;
-    uint64_t bytes = 0;  ///< encoded size in the record stream
-    std::vector<DecodedEdge> edges;
-  };
-
   PagedSummarySource() = default;
 
   static StatusOr<std::shared_ptr<PagedSummarySource>> Finish(
@@ -148,17 +150,23 @@ class PagedSummarySource {
   /// Record-stream byte position of fid's record, via its locator entry.
   StatusOr<uint64_t> LocateRecord(uint32_t fid) const;
 
-  /// Parses the hot-path slice of the record at stream position `pos`,
-  /// which must belong to `fid`.
-  StatusOr<DecodedRecord> ParseRecord(uint32_t fid, uint64_t pos) const;
+  /// Locates and parses fid's record into the walk's layout: *cells gets
+  /// its header cell and its edges, *bytes its encoded size.
+  Status ParseRecord(uint32_t fid, std::vector<summary::CoverEdge>* cells,
+                     uint64_t* bytes) const;
 
-  /// Cached fid -> decoded record.
-  StatusOr<std::shared_ptr<const DecodedRecord>> FetchRecord(
-      uint32_t fid) const;
+  /// Publishes `record` as fid's when the cap allows and no other reader
+  /// did first; returns the published copy, or null when over the cap.
+  summary::CoverEdge* Publish(uint32_t fid,
+                              std::unique_ptr<summary::CoverEdge[]>* record)
+      const;
 
-  /// Applies fn(leaf) over leaf_at[lo .. lo+len), page by page.
+  /// Applies fn(entry) to entries lo..last of the rank or leaf_at section,
+  /// each page's entries bounded by num_leaves once, at its first touch.
   template <typename Fn>
-  Status ForLeafRange(uint32_t lo, uint32_t len, Fn&& fn) const;
+  Status ForIndexRun(const SectionRange& section, uint32_t lo, uint32_t last,
+                     Fn&& fn) const;
+  Status CheckIndexPage(uint32_t page, const uint8_t* data) const;
 
   /// The coverage walk's view of this file: ranks, ancestor records with
   /// the parent-cycle guard, and the leaf_at runs their edges cover.
@@ -168,19 +176,34 @@ class PagedSummarySource {
 
   PagedHeader header_;
   std::unique_ptr<BufferManager> buffer_;
+  /// The file image on the verify-once backends, null on pread.
+  const uint8_t* image_ = nullptr;
+  /// log2 of the rank / leaf_at entries per page.
+  uint32_t index_shift_ = 0;
 
-  // Decoded-record cache, sharded to keep concurrent readers off one
-  // lock; FIFO eviction per shard (records are uniform enough that LRU
-  // buys little over FIFO here).
-  struct CacheShard {
-    Mutex mu;
-    std::unordered_map<uint32_t, std::shared_ptr<const DecodedRecord>> map
-        SLUGGER_GUARDED_BY(mu);
-    std::deque<uint32_t> fifo SLUGGER_GUARDED_BY(mu);
-  };
-  static constexpr size_t kCacheShards = 16;
-  mutable std::array<CacheShard, kCacheShards> cache_;
-  uint32_t cache_capacity_per_shard_ = 0;
+  // Published records: one slot per supernode id, null until its record
+  // is published. Slots come in chunks of 2^kSlotChunkBits ids, allocated
+  // at the first publish into the chunk, so an open allocates only the
+  // chunk table (and none when the cap is 0). Chunks and slots are each
+  // written once, by compare-and-swap with release, and freed by the
+  // destructor.
+  using Slot = std::atomic<summary::CoverEdge*>;
+  static constexpr uint32_t kSlotChunkBits = 12;
+  static constexpr uint32_t kSlotChunkMask = (1u << kSlotChunkBits) - 1;
+  /// fid's published record, or null; one acquire load per level.
+  const summary::CoverEdge* Published(uint32_t fid) const {
+    if (chunks_ == nullptr) return nullptr;
+    const Slot* chunk =
+        chunks_[fid >> kSlotChunkBits].load(std::memory_order_acquire);
+    if (chunk == nullptr) return nullptr;
+    return chunk[fid & kSlotChunkMask].load(std::memory_order_acquire);
+  }
+  std::unique_ptr<std::atomic<Slot*>[]> chunks_;
+  uint32_t record_cap_ = 0;
+  mutable std::atomic<uint32_t> published_{0};
+  // Per page of the rank and leaf_at sections, from rank.first_page: 1
+  // once the page passed its checksum and its entry bounds (sticky).
+  std::unique_ptr<std::atomic<uint8_t>[]> index_checked_;
 };
 
 }  // namespace slugger::storage

@@ -52,10 +52,12 @@ struct OpenOptions {
     kPaged,     ///< v2 paged; v1 falls back to in-memory
   };
   Mode mode = Mode::kAuto;
-  /// Read-path knobs of a paged open (ignored for v1 files).
+  /// Read-path knobs of a paged open (ignored for v1 files), as in
+  /// PagedOpenOptions: record_cache_capacity caps the records a paged
+  /// source publishes, which it keeps until it is destroyed.
   BufferOptions buffer;
   bool eager_verify = false;
-  uint32_t record_cache_capacity = 4096;
+  uint32_t record_cache_capacity = 1u << 20;
 };
 
 /// Writes `graph` to `path` in the selected format (atomically enough

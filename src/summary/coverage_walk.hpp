@@ -8,9 +8,13 @@
 //   ForEachRank(nodes, fn)      fn(i, leaf-preorder rank of nodes[i])
 //   ForEachAncestor(v, fn)      fn(Handle) -> Status, v's leaf to its root
 //   ForEachCovered(node, fn)    fn(u, sign) per leaf u node's edges cover
-// neighbor_query.cpp instantiates it over an in-memory SummaryGraph,
-// storage/paged_source.cpp over a paged v2 file. Both emit each neighbor
-// list in coverage order, which is unspecified.
+// The backends that serve queries read one fixed-width record layout
+// (summary/cover_layout.hpp), so ForEachCovered is a leaf_at scan per
+// edge: neighbor_query.cpp instantiates the walk over an in-memory
+// CoverLayout (and, for callers holding only a SummaryGraph, over the
+// summary's own hierarchy), storage/paged_source.cpp over the records of
+// a paged v2 file. All emit each neighbor list in coverage order, which
+// is unspecified.
 #ifndef SLUGGER_SUMMARY_COVERAGE_WALK_HPP_
 #define SLUGGER_SUMMARY_COVERAGE_WALK_HPP_
 

@@ -9,7 +9,7 @@ namespace slugger::summary {
 
 namespace {
 
-/// The walk's view of an in-memory summary: parent pointers, and endpoint
+/// The walk's view of a bare SummaryGraph: parent pointers, and endpoint
 /// leaves expanded on the caller's traversal stack (so concurrent walks
 /// with distinct scratches are race-free).
 class SummaryRecords {
@@ -52,6 +52,48 @@ class SummaryRecords {
   const SummaryGraph& summary_;
   std::vector<SupernodeId>* stack_;
   const std::vector<uint32_t>* leaf_rank_;
+};
+
+/// The walk's view of a CoverLayout: parents from the record headers, and
+/// each edge's endpoint leaves as one contiguous leaf_at run.
+class LayoutRecords {
+ public:
+  using Handle = SupernodeId;
+
+  explicit LayoutRecords(const CoverLayout& layout) : layout_(layout) {}
+
+  NodeId num_leaves() const { return layout_.num_leaves(); }
+
+  template <typename Fn>
+  Status ForEachRank(std::span<const NodeId> nodes, Fn&& fn) const {
+    const std::vector<uint32_t>& rank = layout_.rank();
+    for (size_t i = 0; i < nodes.size(); ++i) fn(i, rank[nodes[i]]);
+    return Status::OK();
+  }
+
+  template <typename Fn>
+  Status ForEachAncestor(NodeId v, Fn&& fn) const {
+    for (SupernodeId node = v; node != kInvalidId;
+         node = CoverParent(layout_.record(node))) {
+      Status s = fn(SupernodeId{node});
+      if (!s.ok()) return s;
+    }
+    return Status::OK();
+  }
+
+  template <typename Fn>
+  Status ForEachCovered(SupernodeId node, Fn&& fn) const {
+    const NodeId* leaf_at = layout_.leaf_at();
+    for (const CoverEdge& e : CoverEdges(layout_.record(node))) {
+      const EdgeSign sign = e.sign();
+      const NodeId* end = leaf_at + e.last() + 1;
+      for (const NodeId* u = leaf_at + e.lo; u != end; ++u) fn(*u, sign);
+    }
+    return Status::OK();
+  }
+
+ private:
+  const CoverLayout& layout_;
 };
 
 /// The records a batch walks: ranks come from `leaf_rank`, rebuilt into
@@ -154,6 +196,37 @@ void QueryDegreeBatch(const SummaryGraph& summary,
   ExpectWalked(WalkBatch<true>(
       BatchRecords(summary, scratch, leaf_rank, precomputed_order), nodes,
       nullptr, degrees, scratch, &scratch->chains, precomputed_order));
+}
+
+const std::vector<NodeId>& QueryNeighbors(
+    const CoverLayout& layout, NodeId v, QueryScratch* scratch,
+    std::span<const NeighborOverride> overrides) {
+  ExpectWalked(WalkQuery<false>(LayoutRecords(layout), v, scratch, overrides,
+                                nullptr));
+  return scratch->result;
+}
+
+size_t QueryDegree(const CoverLayout& layout, NodeId v, QueryScratch* scratch,
+                   std::span<const NeighborOverride> overrides) {
+  uint64_t degree = 0;
+  ExpectWalked(WalkQuery<true>(LayoutRecords(layout), v, scratch, overrides,
+                               &degree));
+  return static_cast<size_t>(degree);
+}
+
+void QueryNeighborsBatch(const CoverLayout& layout,
+                         std::span<const NodeId> nodes, BatchResult* result,
+                         BatchScratch* scratch,
+                         std::span<const uint32_t> precomputed_order) {
+  ExpectWalked(WalkBatch<false>(LayoutRecords(layout), nodes, result, nullptr,
+                                scratch, &scratch->chains, precomputed_order));
+}
+
+void QueryDegreeBatch(const CoverLayout& layout, std::span<const NodeId> nodes,
+                      std::vector<uint64_t>* degrees, BatchScratch* scratch,
+                      std::span<const uint32_t> precomputed_order) {
+  ExpectWalked(WalkBatch<true>(LayoutRecords(layout), nodes, nullptr, degrees,
+                               scratch, &scratch->chains, precomputed_order));
 }
 
 }  // namespace slugger::summary

@@ -1,12 +1,17 @@
 // Partial decompression: neighbor retrieval directly on a summary
 // (paper Algorithm 4) without reconstructing the whole graph: the
-// in-memory instances of the walk in summary/coverage_walk.hpp.
+// in-memory instances of the walk in summary/coverage_walk.hpp. Two
+// record sources serve it: a bare SummaryGraph (parent pointers, and a
+// subtree walk per edge endpoint — for callers whose summary changes
+// between calls, like the stream compactor) and a CoverLayout, the
+// summary laid out once in the walk's fixed-width records (contiguous
+// leaf_at scans — what slugger::CompressedGraph serves from).
 //
 // The query state is split so a service can serve concurrent readers:
-// the SummaryGraph is the immutable shared index, and ALL mutable
-// per-query state lives in a QueryScratch the caller owns. Any number of
-// threads may call QueryNeighbors / QueryDegree on the same summary
-// simultaneously as long as each brings its own scratch.
+// the summary (or its layout) is the immutable shared index, and ALL
+// mutable per-query state lives in a QueryScratch the caller owns. Any
+// number of threads may call QueryNeighbors / QueryDegree on the same
+// summary simultaneously as long as each brings its own scratch.
 #ifndef SLUGGER_SUMMARY_NEIGHBOR_QUERY_HPP_
 #define SLUGGER_SUMMARY_NEIGHBOR_QUERY_HPP_
 
@@ -16,6 +21,7 @@
 #include <span>
 #include <vector>
 
+#include "summary/cover_layout.hpp"
 #include "summary/summary_graph.hpp"
 #include "util/types.hpp"
 
@@ -137,8 +143,8 @@ struct BatchScratch {
 /// locality-contiguous. Every node must be < num_leaves().
 ///
 /// `leaf_rank`, when provided, must be ComputeLeafPreorder() of the
-/// summary's forest; since the forest is immutable while queries run,
-/// long-lived holders (slugger::CompressedGraph) compute it once and pass
+/// summary's forest; since the forest is immutable while queries run, a
+/// caller that batches one summary repeatedly computes it once and passes
 /// it to every batch. When null it is rebuilt into scratch->preorder, an
 /// extra O(|summary|) per call.
 ///
@@ -174,6 +180,24 @@ void QueryDegreeBatch(const SummaryGraph& summary,
                       std::span<const NodeId> nodes,
                       std::vector<uint64_t>* degrees, BatchScratch* scratch,
                       const std::vector<uint32_t>* leaf_rank = nullptr,
+                      std::span<const uint32_t> precomputed_order = {});
+
+/// The same queries over a summary laid out once as a CoverLayout — what
+/// slugger::CompressedGraph serves from. Covering an ancestor scans one
+/// contiguous leaf_at run per superedge instead of a subtree per
+/// endpoint, and batches sort on the layout's rank. Same contracts and
+/// thread safety as the SummaryGraph overloads above.
+const std::vector<NodeId>& QueryNeighbors(
+    const CoverLayout& layout, NodeId v, QueryScratch* scratch,
+    std::span<const NeighborOverride> overrides = {});
+size_t QueryDegree(const CoverLayout& layout, NodeId v, QueryScratch* scratch,
+                   std::span<const NeighborOverride> overrides = {});
+void QueryNeighborsBatch(const CoverLayout& layout,
+                         std::span<const NodeId> nodes, BatchResult* result,
+                         BatchScratch* scratch,
+                         std::span<const uint32_t> precomputed_order = {});
+void QueryDegreeBatch(const CoverLayout& layout, std::span<const NodeId> nodes,
+                      std::vector<uint64_t>* degrees, BatchScratch* scratch,
                       std::span<const uint32_t> precomputed_order = {});
 
 }  // namespace slugger::summary

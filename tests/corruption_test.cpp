@@ -348,6 +348,24 @@ TEST(PagedCorruptionMatrix, DataPageDamageSurfacesAsCorruptionStatus) {
   EXPECT_EQ(s.code(), Status::Code::kCorruption);
   EXPECT_EQ(result.size(), 0u);  // emptied, not half-filled
 
+  // A failed parse publishes nothing: the same batch on the same handle
+  // meets the damaged page again, while a node whose chain and runs
+  // avoid it still answers exactly.
+  s = opened.value().NeighborsBatch(nodes, &result, &scratch);
+  EXPECT_EQ(s.code(), Status::Code::kCorruption);
+  EXPECT_EQ(result.size(), 0u);
+  size_t healthy_nodes = 0;
+  for (const NodeId v : nodes) {
+    BatchResult one;
+    BatchScratch fresh;
+    const NodeId single[] = {v};
+    if (!opened.value().NeighborsBatch(single, &one, &fresh).ok()) continue;
+    ++healthy_nodes;
+    EXPECT_EQ(Sorted(one[0]), Sorted(RealGraph().Neighbors(v))) << "node " << v;
+  }
+  EXPECT_GT(healthy_nodes, 0u);
+  EXPECT_LT(healthy_nodes, nodes.size());
+
   // The failed batch left the scratch as it found it: the same scratch
   // serves a healthy handle exactly.
   StatusOr<CompressedGraph> healthy = storage::OpenBuffer(buffer);
@@ -393,6 +411,104 @@ TEST(PagedCorruptionMatrix, DataPageDamageSurfacesAsCorruptionStatus) {
   EXPECT_TRUE(degrees.empty());
   ExpectExactBatch(good.value(), g, &reused);
   ExpectExactBatch(mem.value(), g, &reused);
+}
+
+/// Overwrites the u32 at `offset` of a v2 image and re-seals every
+/// checksum over it (its page's page-table entry, the page-table checksum
+/// and the header checksum), the way an attacker who recomputes checksums
+/// would: only the parsers' own bounds can catch the forged value.
+void ForgeSealed(std::string* image, const storage::PagedHeader& header,
+                 size_t offset, uint32_t value) {
+  auto* bytes = reinterpret_cast<uint8_t*>(image->data());
+  storage::PutLE32(bytes + offset, value);
+  const uint32_t psz = header.page_size;
+  const uint32_t page = static_cast<uint32_t>(offset / psz);
+  const uint64_t epp = psz / storage::kPageTableStride;
+  uint8_t* pt = bytes + static_cast<size_t>(header.page_table.first_page) * psz;
+  storage::PutLE64(pt + (page / epp) * psz + (page % epp) *
+                            storage::kPageTableStride,
+                   storage::Checksum64(bytes + static_cast<size_t>(page) * psz,
+                                       psz));
+  // The header ends with the page-table checksum and then a checksum of
+  // every header byte before it; find that seal, then rewrite both.
+  const uint64_t pt_sum = storage::Checksum64(
+      pt, static_cast<size_t>(header.page_table.num_pages) * psz);
+  for (size_t pos = sizeof(storage::kPagedMagic);
+       pos + 16 <= storage::kMinPageSize; ++pos) {
+    if (storage::GetLE64(bytes + pos) == header.page_table_checksum &&
+        storage::GetLE64(bytes + pos + 8) ==
+            storage::Checksum64(bytes, pos + 8)) {
+      storage::PutLE64(bytes + pos, pt_sum);
+      storage::PutLE64(bytes + pos + 8, storage::Checksum64(bytes, pos + 8));
+      return;
+    }
+  }
+  FAIL() << "header seal not found";
+}
+
+// The rank and leaf_at entries are bounded at their page's first touch
+// rather than per read. A forged entry that passes every checksum must
+// still fail each query that reads its page — batch, degree and single —
+// and materialization, while queries that miss the page answer exactly.
+TEST(PagedCorruptionMatrix, ForgedIndexEntriesFailTheQueriesThatReadThem) {
+  const graph::Graph g = gen::ErdosRenyi(300, 1200, 31);
+  StatusOr<CompressedGraph> mem = Engine().Summarize(g);
+  ASSERT_TRUE(mem.ok());
+  storage::SaveOptions save;
+  save.page_size = storage::kMinPageSize;
+  StatusOr<std::string> image = storage::Serialize(mem.value(), save);
+  ASSERT_TRUE(image.ok());
+  StatusOr<CompressedGraph> good = storage::OpenBuffer(image.value());
+  ASSERT_TRUE(good.ok());
+  const storage::PagedHeader header = good.value().paged_source()->header();
+  std::vector<NodeId> all;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) all.push_back(v);
+
+  for (const bool rank : {true, false}) {
+    SCOPED_TRACE(rank ? "rank entry" : "leaf_at entry");
+    const storage::SectionRange& section = rank ? header.rank : header.leaf_at;
+    std::string bad = image.value();
+    ForgeSealed(&bad,
+                header,
+                static_cast<size_t>(section.first_page) * header.page_size,
+                header.num_leaves);
+    storage::OpenOptions eager;
+    eager.eager_verify = true;  // every checksum passes
+    StatusOr<CompressedGraph> forged = storage::OpenBuffer(bad, eager);
+    ASSERT_TRUE(forged.ok()) << forged.status().ToString();
+
+    BatchResult result;
+    BatchScratch scratch;
+    Status s = forged.value().NeighborsBatch(all, &result, &scratch);
+    EXPECT_EQ(s.code(), Status::Code::kCorruption) << s.ToString();
+    std::vector<uint64_t> degrees;
+    s = forged.value().DegreeBatch(all, &degrees, &scratch);
+    EXPECT_EQ(s.code(), Status::Code::kCorruption) << s.ToString();
+    // Every single query that reads the page fails too, not just the
+    // first; the answers it degrades to are empty.
+    QueryScratch single;
+    const uint64_t errors_before = forged.value().query_errors();
+    size_t failed = 0;
+    for (const NodeId v : all) {
+      const uint64_t before = forged.value().query_errors();
+      const std::vector<NodeId> got = forged.value().Neighbors(v, &single);
+      if (forged.value().query_errors() != before) {
+        ++failed;
+        EXPECT_TRUE(got.empty()) << "node " << v;
+      } else {
+        EXPECT_EQ(Sorted(got), Sorted(g.Neighbors(v))) << "node " << v;
+      }
+    }
+    // Single queries never read ranks; some read the forged leaf_at page.
+    if (rank) {
+      EXPECT_EQ(failed, 0u);
+    } else {
+      EXPECT_GT(failed, 0u);
+    }
+    EXPECT_EQ(forged.value().query_errors(), errors_before + failed);
+    EXPECT_FALSE(forged.value().Materialize().ok());
+    ExpectExactBatch(good.value(), g, &scratch);
+  }
 }
 
 TEST(PagedCorruptionMatrix, ForgedHeaderCountsAreRejectedBeforeAllocating) {

@@ -37,12 +37,15 @@ std::vector<NodeId> SortedSingleAnswer(const CompressedGraph& cg, NodeId v,
 }
 
 /// Batch answers must equal the single-node answers as sets, node by node
-/// and in the caller's input order, for every overload.
+/// and in the caller's input order, for every overload. The facade walks
+/// its record layout; its single answers, overrides included, must also
+/// equal the walk over the bare summary's own hierarchy.
 void ExpectBatchAgreesWithSingles(const graph::Graph& g,
                                   const CompressedGraph& cg,
                                   const std::vector<NodeId>& nodes,
                                   ThreadPool* pool) {
   QueryScratch single_scratch;
+  QueryScratch bare_scratch;
   BatchScratch batch_scratch;
 
   BatchResult sequential;
@@ -74,6 +77,32 @@ void ExpectBatchAgreesWithSingles(const graph::Graph& g,
     ASSERT_EQ(degrees_par[i], expected.size()) << "position " << i;
     // Lossless end to end: the compressed answers are the graph's.
     ASSERT_EQ(expected.size(), g.Degree(nodes[i])) << "node " << nodes[i];
+
+    std::vector<NodeId> bare =
+        summary::QueryNeighbors(cg.summary(), nodes[i], &bare_scratch);
+    std::sort(bare.begin(), bare.end());
+    ASSERT_EQ(bare, expected) << "bare summary walk, node " << nodes[i];
+    // One override forcing a pair in, one forcing a pair out, sorted by
+    // neighbor as the contract requires.
+    const NodeId n = cg.num_nodes();
+    std::vector<NeighborOverride> overrides = {
+        {(nodes[i] + 1) % n, +1}, {(nodes[i] + 2) % n, -1}};
+    std::sort(overrides.begin(), overrides.end(),
+              [](const NeighborOverride& a, const NeighborOverride& b) {
+                return a.neighbor < b.neighbor;
+              });
+    if (overrides[0].neighbor == overrides[1].neighbor) overrides.pop_back();
+    std::vector<NodeId> facade =
+        cg.Neighbors(nodes[i], &single_scratch, overrides);
+    std::sort(facade.begin(), facade.end());
+    std::vector<NodeId> walked = summary::QueryNeighbors(
+        cg.summary(), nodes[i], &bare_scratch, overrides);
+    std::sort(walked.begin(), walked.end());
+    ASSERT_EQ(facade, walked) << "overridden, node " << nodes[i];
+    ASSERT_EQ(cg.Degree(nodes[i], &single_scratch, overrides),
+              summary::QueryDegree(cg.summary(), nodes[i], &bare_scratch,
+                                   overrides))
+        << "overridden degree, node " << nodes[i];
   }
 }
 

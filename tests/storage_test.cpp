@@ -534,6 +534,121 @@ TEST(PagedChurn, MaterializeRacesPagedReaders) {
   std::remove(path.c_str());
 }
 
+// Fresh handles publish what queries walk at first use: a paged handle
+// each record at its first parse, an in-memory handle its record layout
+// at its first query. Four readers start on one together and race to
+// publish the same records through single, batched and degree queries;
+// every answer must be the graph's, on the mmap backend, on an in-memory
+// image and on an in-memory summary.
+TEST(PagedPublish, ReadersRaceToPublishOnFreshHandles) {
+  graph::Graph g = gen::ErdosRenyi(500, 3000, 79);
+  CompressedGraph mem = Summarize(g, 79);
+  const std::string path = TempPath("publish_race.slg2");
+  storage::SaveOptions save;
+  save.page_size = 512;
+  ASSERT_TRUE(storage::Save(mem, path, save).ok());
+  StatusOr<std::string> image = storage::Serialize(mem, save);
+  ASSERT_TRUE(image.ok());
+
+  for (const std::string handle : {"mmap file", "image", "summary"}) {
+    SCOPED_TRACE(handle);
+    storage::OpenOptions options;
+    options.buffer.io = storage::Io::kMmap;
+    StatusOr<CompressedGraph> paged =
+        handle == "summary"
+            ? StatusOr<CompressedGraph>(CompressedGraph(mem.summary()))
+        : handle == "image" ? storage::OpenBuffer(image.value(), options)
+                            : storage::Open(path, options);
+    ASSERT_TRUE(paged.ok()) << paged.status().ToString();
+    ASSERT_EQ(paged.value().paged(), handle != "summary");
+
+    constexpr int kThreads = 4;
+    std::atomic<int> ready{0};
+    std::atomic<bool> failed{false};
+    std::vector<std::thread> readers;
+    readers.reserve(kThreads);
+    for (int t = 0; t < kThreads; ++t) {
+      readers.emplace_back([&, t] {
+        std::mt19937 rng(300 + t);
+        std::vector<NodeId> nodes(g.num_nodes());
+        for (NodeId v = 0; v < g.num_nodes(); ++v) nodes[v] = v;
+        std::shuffle(nodes.begin(), nodes.end(), rng);
+        BatchScratch batch_scratch;
+        BatchResult result;
+        std::vector<uint64_t> degrees;
+        QueryScratch scratch;
+        ready.fetch_add(1);
+        while (ready.load() < kThreads) {
+        }
+        // Half the readers open with a batch, half with single queries,
+        // so both paths parse records the others are parsing.
+        if (t % 2 == 0) {
+          if (!paged.value().NeighborsBatch(nodes, &result, &batch_scratch)
+                   .ok() ||
+              !paged.value().DegreeBatch(nodes, &degrees, &batch_scratch)
+                   .ok()) {
+            failed.store(true);
+            return;
+          }
+          for (size_t i = 0; i < nodes.size(); ++i) {
+            if (Sorted(result[i]) != Sorted(g.Neighbors(nodes[i])) ||
+                degrees[i] != g.Degree(nodes[i])) {
+              failed.store(true);
+            }
+          }
+        }
+        for (const NodeId v : nodes) {
+          if (SortedNeighbors(paged.value(), v, &scratch) !=
+              Sorted(g.Neighbors(v))) {
+            failed.store(true);
+          }
+        }
+      });
+    }
+    for (std::thread& th : readers) th.join();
+    EXPECT_FALSE(failed.load());
+    EXPECT_EQ(paged.value().query_errors(), 0u);
+    ExpectAgreement(g, mem, paged.value());
+  }
+  std::remove(path.c_str());
+}
+
+// A cap below the file's record count publishes some records and parses
+// the rest on every access; at 0 nothing is published. Either way every
+// answer is exact, on each backend, a 2-frame pread cache included.
+TEST(PagedStorage, RecordCapBelowTheFileServesExactly) {
+  graph::Graph g = gen::ErdosRenyi(400, 2400, 83);
+  CompressedGraph mem = Summarize(g, 83);
+  const std::string path = TempPath("record_cap.slg2");
+  storage::SaveOptions save;
+  save.page_size = 512;
+  ASSERT_TRUE(storage::Save(mem, path, save).ok());
+  StatusOr<std::string> image = storage::Serialize(mem, save);
+  ASSERT_TRUE(image.ok());
+
+  for (const uint32_t cap : {0u, 3u}) {
+    for (const storage::Io io :
+         {storage::Io::kMmap, storage::Io::kMemory, storage::Io::kPread}) {
+      SCOPED_TRACE("cap " + std::to_string(cap) + ", backend " +
+                   std::to_string(static_cast<int>(io)));
+      storage::OpenOptions options;
+      options.record_cache_capacity = cap;
+      options.buffer.max_resident_pages = 2;
+      if (io != storage::Io::kMemory) options.buffer.io = io;
+      StatusOr<CompressedGraph> paged =
+          io == storage::Io::kMemory
+              ? storage::OpenBuffer(image.value(), options)
+              : storage::Open(path, options);
+      ASSERT_TRUE(paged.ok()) << paged.status().ToString();
+      ASSERT_EQ(paged.value().paged_source()->backend(), io);
+      ExpectAgreement(g, mem, paged.value());
+      EXPECT_EQ(paged.value().query_errors(), 0u);
+      EXPECT_EQ(paged.value().paged_source()->buffer_stats().pinned_now, 0u);
+    }
+  }
+  std::remove(path.c_str());
+}
+
 // A pread cache of one or two frames is smaller than what one walk pins
 // at once (Materialize holds three pages). Fetches that find every frame
 // pinned overflow instead of failing, so every answer stays exact and the
