@@ -1,23 +1,20 @@
-// Batched vs per-node neighbor-query throughput on one compressed graph
-// (ISSUE 4): how much does NeighborsBatch's ancestor-chain amortization
-// plus sharding buy over a plain Neighbors() loop?
+// Batched vs per-node neighbor-query throughput on one compressed graph:
+// how much does NeighborsBatch's ancestor-chain amortization buy over a
+// plain Neighbors() loop?
 //
 // Compress an RMAT graph once, draw a fixed batch of random node ids,
-// then time three modes over the same batch:
-//   single          per-node Neighbors() loop, one thread (the baseline)
-//   batch           sequential NeighborsBatch (amortization only)
-//   batch@T         parallel NeighborsBatch over a T-worker pool
-// Checksums (summed result sizes) must agree across every mode. Results
-// go to stdout and to BENCH_batch_query.json; CI gates on the 4-thread
-// batch speedup staying >= 1.3x over the single-node loop
-// (bench/check_batch_query.py).
+// then time two modes over the same batch, on one thread:
+//   single          per-node Neighbors() loop (the baseline)
+//   batch           NeighborsBatch (amortization only)
+// Checksums (summed result sizes) must agree across the modes; the exit
+// code is 1 when they do not. Results go to stdout and to
+// BENCH_batch_query.json.
 //
 // Env knobs:
 //   SLUGGER_BENCH_BQ_SCALE     RMAT scale (default 14 -> 16384 nodes)
 //   SLUGGER_BENCH_BQ_EDGES     edge count (default 8 * num_nodes)
 //   SLUGGER_BENCH_BQ_BATCH     batch size (default 10000)
 //   SLUGGER_BENCH_BQ_REPS     repetitions per timed mode (default 20)
-//   SLUGGER_BENCH_THREAD_LIST  comma list of pool sizes (default 1,2,4,8)
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -26,17 +23,14 @@
 #include "bench_env.hpp"
 #include "gen/generators.hpp"
 #include "util/random.hpp"
-#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace {
 
 using slugger::bench::EnvU64;
-using slugger::bench::ThreadList;
 
 struct Run {
   std::string mode;
-  uint32_t threads;
   double seconds;         ///< total over all reps
   double queries_per_second;
   uint64_t checksum;      ///< summed neighbor counts; equal across modes
@@ -53,7 +47,6 @@ int main() {
   const uint64_t edges = EnvU64("SLUGGER_BENCH_BQ_EDGES", 8 * num_nodes);
   const uint64_t batch_size = EnvU64("SLUGGER_BENCH_BQ_BATCH", 10000);
   const uint64_t reps = EnvU64("SLUGGER_BENCH_BQ_REPS", 20);
-  std::vector<uint32_t> thread_list = ThreadList();
 
   std::printf("=== batched vs single neighbor queries ===\n");
   std::printf("rmat scale=%u nodes=%llu edges=%llu batch=%llu reps=%llu\n\n",
@@ -99,11 +92,11 @@ int main() {
       checksum = 0;
       for (NodeId v : batch) checksum += cg.Neighbors(v, &scratch).size();
     }
-    runs.push_back({"single", 1, timer.Seconds(),
+    runs.push_back({"single", timer.Seconds(),
                     total_queries / timer.Seconds(), checksum});
   }
 
-  {  // Sequential batch: amortization only, no extra threads.
+  {  // Batch: amortization only.
     BatchScratch scratch;
     BatchResult result;
     uint64_t checksum = 0;
@@ -112,31 +105,17 @@ int main() {
       if (!cg.NeighborsBatch(batch, &result, &scratch).ok()) return 1;
       checksum = result.neighbors.size();
     }
-    runs.push_back({"batch", 1, timer.Seconds(),
-                    total_queries / timer.Seconds(), checksum});
-  }
-
-  for (uint32_t t : thread_list) {
-    if (t <= 1) continue;  // covered by the sequential batch run
-    ThreadPool pool(t);
-    BatchResult result;
-    uint64_t checksum = 0;
-    WallTimer timer;
-    for (uint64_t rep = 0; rep < reps; ++rep) {
-      if (!cg.NeighborsBatch(batch, &result, &pool).ok()) return 1;
-      checksum = result.neighbors.size();
-    }
-    runs.push_back({"batch", t, timer.Seconds(),
+    runs.push_back({"batch", timer.Seconds(),
                     total_queries / timer.Seconds(), checksum});
   }
 
   const Run& baseline = runs.front();
   bool checksums_agree = true;
-  std::printf("%-10s %-8s %10s %14s %10s\n", "mode", "threads", "seconds",
-              "queries/s", "speedup");
+  std::printf("%-10s %10s %14s %10s\n", "mode", "seconds", "queries/s",
+              "speedup");
   for (const Run& r : runs) {
-    std::printf("%-10s %-8u %10.3f %14.0f %9.2fx\n", r.mode.c_str(),
-                r.threads, r.seconds, r.queries_per_second,
+    std::printf("%-10s %10.3f %14.0f %9.2fx\n", r.mode.c_str(), r.seconds,
+                r.queries_per_second,
                 r.queries_per_second / baseline.queries_per_second);
     checksums_agree = checksums_agree && r.checksum == baseline.checksum;
   }
@@ -156,9 +135,9 @@ int main() {
     const Run& r = runs[i];
     char buf[200];
     std::snprintf(buf, sizeof(buf),
-                  "%s{\"mode\":\"%s\",\"threads\":%u,\"seconds\":%.6f,"
+                  "%s{\"mode\":\"%s\",\"seconds\":%.6f,"
                   "\"queries_per_second\":%.1f,\"speedup_vs_single\":%.4f}",
-                  i == 0 ? "" : ",", r.mode.c_str(), r.threads, r.seconds,
+                  i == 0 ? "" : ",", r.mode.c_str(), r.seconds,
                   r.queries_per_second,
                   r.queries_per_second / baseline.queries_per_second);
     json += buf;

@@ -9,6 +9,7 @@
 #include <span>
 
 #include "graph/graph.hpp"
+#include "summary/cover_layout.hpp"
 #include "summary/neighbor_query.hpp"
 #include "summary/summary_graph.hpp"
 
@@ -25,12 +26,15 @@ class RawSource {
   const graph::Graph* g_;
 };
 
-/// Adapter over a summary: materializes the whole adjacency up front
-/// through QueryNeighborsBatch — the hierarchy-locality walk pays one
+/// Adapter over a summary: lays the summary out once as a
+/// summary::CoverLayout and materializes the whole adjacency up front
+/// through its QueryNeighborsBatch — the hierarchy-locality walk pays one
 /// coverage application per shared ancestor chain instead of one full
 /// Algorithm-4 pass per node — then serves Neighbors(u) as O(1) span
-/// lookups. The batch sweep runs in node blocks (`block_size`) so peak
-/// per-block scratch stays bounded on large summaries.
+/// lookups, each list in the walk's unspecified coverage order. The batch
+/// sweep runs in node blocks (`block_size`) so peak per-block scratch
+/// stays bounded on large summaries; the layout is dropped once the sweep
+/// ends.
 ///
 /// The right source for multi-pass analytics (PageRank's T sweeps, BFS
 /// frontiers that revisit hubs): one amortized sweep, then every pass is
@@ -44,6 +48,7 @@ class BatchedSummarySource {
       : num_nodes_(s.num_leaves()) {
     adjacency_.offsets.reserve(num_nodes_ + 1);
     adjacency_.offsets.push_back(0);
+    const summary::CoverLayout layout(s);
     summary::BatchScratch scratch;
     summary::BatchResult block;
     std::vector<NodeId> ids;
@@ -52,7 +57,7 @@ class BatchedSummarySource {
           std::min<size_t>(num_nodes_, begin + block_size));
       ids.resize(end - begin);
       std::iota(ids.begin(), ids.end(), begin);
-      summary::QueryNeighborsBatch(s, ids, &block, &scratch);
+      summary::QueryNeighborsBatch(layout, ids, &block, &scratch);
       const uint64_t offset = adjacency_.neighbors.size();
       adjacency_.neighbors.insert(adjacency_.neighbors.end(),
                                   block.neighbors.begin(),

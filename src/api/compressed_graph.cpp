@@ -1,8 +1,6 @@
 #include "api/compressed_graph.hpp"
 
-#include <algorithm>
 #include <atomic>
-#include <numeric>
 #include <utility>
 
 #include "algs/summary_ops.hpp"
@@ -11,7 +9,6 @@
 #include "summary/decode.hpp"
 #include "summary/verify.hpp"
 #include "util/sync.hpp"
-#include "util/thread_pool.hpp"
 
 namespace slugger {
 
@@ -62,49 +59,10 @@ QueryScratch& ThreadLocalScratch() {
   return scratch;
 }
 
-/// Same lifecycle for the batched path; pool workers persist across jobs,
-/// so each one warms up exactly one of these.
+/// Same lifecycle for the batched path.
 BatchScratch& ThreadLocalBatchScratch() {
   thread_local BatchScratch scratch;
   return scratch;
-}
-
-/// Below this size the per-shard sort/stitch overhead beats the win from
-/// parallelism; the parallel overloads fall back to the sequential path.
-constexpr size_t kMinParallelBatch = 256;
-
-/// Coordinator prologue of the parallel batch overloads: the batch
-/// positions sorted by the cached leaf rank (same order ComputeBatchOrder
-/// derives, but rank-only — no ancestor chains are materialized; each
-/// shard rebuilds exactly the chains of its own slice) plus the node list
-/// in that order.
-void SortBatchByRank(std::span<const NodeId> nodes,
-                     const std::vector<uint32_t>& leaf_rank,
-                     std::vector<uint32_t>* order,
-                     std::vector<NodeId>* sorted_nodes) {
-  const size_t batch = nodes.size();
-  order->resize(batch);
-  std::iota(order->begin(), order->end(), 0u);
-  std::sort(order->begin(), order->end(),
-            [&leaf_rank, nodes](uint32_t a, uint32_t b) {
-              const uint32_t ra = leaf_rank[nodes[a]];
-              const uint32_t rb = leaf_rank[nodes[b]];
-              if (ra != rb) return ra < rb;
-              return a < b;
-            });
-  sorted_nodes->resize(batch);
-  for (size_t k = 0; k < batch; ++k) {
-    (*sorted_nodes)[k] = nodes[(*order)[k]];
-  }
-}
-
-/// Contiguous slice of the sorted batch owned by one shard.
-struct ShardRange {
-  size_t begin;
-  size_t end;
-};
-ShardRange ShardBounds(size_t batch, size_t shard, size_t shards) {
-  return {batch * shard / shards, batch * (shard + 1) / shards};
 }
 
 }  // namespace
@@ -254,9 +212,9 @@ const std::vector<NodeId>& CompressedGraph::Neighbors(
   Obs().single->Add(1);
   obs::ScopedTimer obs_timer(SampledSingleHistogram());
   if (v >= num_nodes_) {
-    // The core query path asserts v is in range (walking ForEachEdgeOf on
-    // an arbitrary id is undefined behavior); the facade absorbs hostile
-    // ids here instead.
+    // The in-memory walk asserts v is in range (an out-of-range id is a
+    // caller bug at that layer); the facade absorbs hostile ids here
+    // instead.
     scratch->result.clear();
     return scratch->result;
   }
@@ -338,75 +296,6 @@ Status CompressedGraph::NeighborsBatch(std::span<const NodeId> nodes,
   return NeighborsBatch(nodes, out, &ThreadLocalBatchScratch());
 }
 
-Status CompressedGraph::NeighborsBatch(std::span<const NodeId> nodes,
-                                       BatchResult* out,
-                                       ThreadPool* pool) const {
-  if (pool == nullptr || pool->size() <= 1 ||
-      nodes.size() < kMinParallelBatch || ServePaged()) {
-    // Paged handles stay sequential: the batch already amortizes page
-    // faults via file-preorder.
-    return NeighborsBatch(nodes, out);
-  }
-  Status valid = ValidateBatch(nodes);
-  if (!valid.ok()) return valid;
-  const QueryObs& o = Obs();
-  o.batches->Add(1);
-  o.batch_nodes->Add(nodes.size());
-  obs::ScopedTimer obs_timer(o.batch_seconds);
-
-  // Sort the whole batch by hierarchy locality once, then hand each
-  // worker a contiguous slice of the sorted order: shards keep the
-  // ancestor-chain amortization and re-sorting a presorted slice inside
-  // QueryNeighborsBatch is near-free.
-  const summary::CoverLayout& layout = ActiveLayout();
-  const size_t batch = nodes.size();
-  std::vector<uint32_t> order;
-  std::vector<NodeId> sorted_nodes;
-  SortBatchByRank(nodes, layout.rank(), &order, &sorted_nodes);
-
-  // Each shard's slice is already locality-sorted, so the identity
-  // permutation is a valid precomputed order: shards skip the per-slice
-  // re-sort inside QueryNeighborsBatch. One iota serves every shard —
-  // subspan(0, len) is 0..len-1.
-  std::vector<uint32_t> identity(batch);
-  std::iota(identity.begin(), identity.end(), 0u);
-
-  const size_t shards = pool->size();
-  std::vector<BatchResult> shard_results(shards);
-  pool->Run(shards, [&](uint64_t shard, unsigned) {
-    const ShardRange range = ShardBounds(batch, shard, shards);
-    summary::QueryNeighborsBatch(
-        layout,
-        std::span<const NodeId>(sorted_nodes)
-            .subspan(range.begin, range.end - range.begin),
-        &shard_results[shard], &ThreadLocalBatchScratch(),
-        std::span<const uint32_t>(identity)
-            .subspan(0, range.end - range.begin));
-  });
-
-  // Stitch shard answers (sorted order) back into input order.
-  out->offsets.assign(batch + 1, 0);
-  for (size_t shard = 0; shard < shards; ++shard) {
-    const size_t begin = ShardBounds(batch, shard, shards).begin;
-    const BatchResult& r = shard_results[shard];
-    for (size_t k = 0; k < r.size(); ++k) {
-      out->offsets[order[begin + k] + 1] = r.offsets[k + 1] - r.offsets[k];
-    }
-  }
-  for (size_t i = 0; i < batch; ++i) out->offsets[i + 1] += out->offsets[i];
-  out->neighbors.resize(out->offsets[batch]);
-  for (size_t shard = 0; shard < shards; ++shard) {
-    const size_t begin = ShardBounds(batch, shard, shards).begin;
-    const BatchResult& r = shard_results[shard];
-    for (size_t k = 0; k < r.size(); ++k) {
-      std::span<const NodeId> src = r[k];
-      std::copy(src.begin(), src.end(),
-                out->neighbors.begin() + out->offsets[order[begin + k]]);
-    }
-  }
-  return Status::OK();
-}
-
 Status CompressedGraph::DegreeBatch(std::span<const NodeId> nodes,
                                     std::vector<uint64_t>* degrees,
                                     BatchScratch* scratch) const {
@@ -429,51 +318,6 @@ Status CompressedGraph::DegreeBatch(std::span<const NodeId> nodes,
 Status CompressedGraph::DegreeBatch(std::span<const NodeId> nodes,
                                     std::vector<uint64_t>* degrees) const {
   return DegreeBatch(nodes, degrees, &ThreadLocalBatchScratch());
-}
-
-Status CompressedGraph::DegreeBatch(std::span<const NodeId> nodes,
-                                    std::vector<uint64_t>* degrees,
-                                    ThreadPool* pool) const {
-  if (pool == nullptr || pool->size() <= 1 ||
-      nodes.size() < kMinParallelBatch || ServePaged()) {
-    return DegreeBatch(nodes, degrees);
-  }
-  Status valid = ValidateBatch(nodes);
-  if (!valid.ok()) return valid;
-  const QueryObs& o = Obs();
-  o.batches->Add(1);
-  o.batch_nodes->Add(nodes.size());
-  obs::ScopedTimer obs_timer(o.batch_seconds);
-
-  const summary::CoverLayout& layout = ActiveLayout();
-  const size_t batch = nodes.size();
-  std::vector<uint32_t> order;
-  std::vector<NodeId> sorted_nodes;
-  SortBatchByRank(nodes, layout.rank(), &order, &sorted_nodes);
-
-  // Identity precomputed order per slice, as in the Neighbors overload.
-  std::vector<uint32_t> identity(batch);
-  std::iota(identity.begin(), identity.end(), 0u);
-
-  degrees->assign(batch, 0);
-  const size_t shards = pool->size();
-  pool->Run(shards, [&](uint64_t shard, unsigned) {
-    const ShardRange range = ShardBounds(batch, shard, shards);
-    std::vector<uint64_t> local;
-    summary::QueryDegreeBatch(
-        layout,
-        std::span<const NodeId>(sorted_nodes)
-            .subspan(range.begin, range.end - range.begin),
-        &local, &ThreadLocalBatchScratch(),
-        std::span<const uint32_t>(identity)
-            .subspan(0, range.end - range.begin));
-    // Shards own disjoint ranges of the order permutation, so these
-    // writes never alias across workers.
-    for (size_t k = 0; k < local.size(); ++k) {
-      (*degrees)[order[range.begin + k]] = local[k];
-    }
-  });
-  return Status::OK();
 }
 
 std::vector<double> CompressedGraph::PageRank(double d, uint32_t iterations,

@@ -141,18 +141,11 @@ class CompressedGraph {
   /// an I/O or corruption error surfaces here as a non-OK Status and
   /// *out is emptied. Concurrency: same as Neighbors() — any number of
   /// threads, one scratch per thread (the scratch-free overload keeps
-  /// one per thread internally).
+  /// one per thread internally), so a caller may split a batch across
+  /// its own threads.
   Status NeighborsBatch(std::span<const NodeId> nodes, BatchResult* out,
                         BatchScratch* scratch) const;
   Status NeighborsBatch(std::span<const NodeId> nodes, BatchResult* out) const;
-
-  /// Parallel overload: shards the locality-sorted batch across `pool`
-  /// (each shard stays contiguous in the sorted order, preserving the
-  /// amortization). Falls back to the sequential path for small batches,
-  /// a pool of one, or a paged handle. Must not be called from inside
-  /// another job running on the same pool.
-  Status NeighborsBatch(std::span<const NodeId> nodes, BatchResult* out,
-                        ThreadPool* pool) const;
 
   /// Batched Degree under the same contract: degrees->at(i) answers
   /// nodes[i]; no neighbor lists are materialized.
@@ -161,8 +154,6 @@ class CompressedGraph {
                      BatchScratch* scratch) const;
   Status DegreeBatch(std::span<const NodeId> nodes,
                      std::vector<uint64_t>* degrees) const;
-  Status DegreeBatch(std::span<const NodeId> nodes,
-                     std::vector<uint64_t>* degrees, ThreadPool* pool) const;
 
   /// Hierarchy-native analytics (algs/summary_ops): evaluated directly on
   /// the compressed structure at O(n + |P| + |N|) per pass instead of

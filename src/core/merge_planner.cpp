@@ -94,16 +94,12 @@ void MergePlanner::BeginScan(SupernodeId a) {
   assert(slots_.size() >= state_->summary().forest().capacity());
   NextEpoch(&epoch_, &RootSlot::mark);
   scan_root_ = a;
-  scan_adj_.clear();
   slots_[a].mark = epoch_;
   slots_[a].tally = 0;
-  scan_adj_.push_back(a);
   state_->RootAdjacency(a).ForEach([&](SupernodeId c, uint32_t) {
     slots_[c].mark = epoch_;
     slots_[c].tally = 0;
-    scan_adj_.push_back(c);
   });
-  scan_adj_count_ = static_cast<uint32_t>(scan_adj_.size());
 
   // Gather a's family [A, A1, A2] once for every partner, and tally it:
   // within-family edges, and cross edges per adjacent root. An edge whose
@@ -140,23 +136,6 @@ void MergePlanner::BeginScan(SupernodeId a) {
       scan_edges_.push_back({other, band, f_local, o_local, sign});
     });
   }
-}
-
-bool MergePlanner::MayOverlap(SupernodeId z) const {
-  assert(scan_root_ != kInvalidId);
-  if (slots_[z].mark == epoch_) return true;  // z adjacent to a
-  const FlatCountMap& z_adj = state_->RootAdjacency(z);
-  if (z_adj.size() <= scan_adj_count_) {
-    bool found = false;
-    z_adj.ForEach([&](SupernodeId c, uint32_t) {
-      if (slots_[c].mark == epoch_) found = true;
-    });
-    return found;
-  }
-  for (SupernodeId c : scan_adj_) {
-    if (z_adj.Contains(c)) return true;
-  }
-  return false;
 }
 
 void MergePlanner::EvaluateInto(SupernodeId a, SupernodeId b, MergePlan* plan) {

@@ -11,9 +11,6 @@
 //     family once, each classified by the top band its other end lies in.
 //     It tallies them by group (A's within-family edges, and A's cross
 //     edges per adjacent root: count and n-edges).
-//   - MayOverlap(Z) rejects partners with no shared adjacency in
-//     O(min degree): such merges always have negative saving (Lemma 1), so
-//     they can never beat the threshold θ(t) >= 0.
 //   - EvaluatePartner(Z) walks only Z's family, adds its edges to the
 //     tallies, and bounds the saving before any bucket is built or solved.
 //     A group is the within-family edges, or the cross edges of one
@@ -74,7 +71,7 @@ struct MergePlan {
 /// Stateful evaluator bound to the algorithm state and a memo table.
 /// Reuses internal scratch across evaluations, and the scan cache that
 /// BeginScan fills belongs to this planner, so one planner serves one
-/// thread. BeginScan / MayOverlap / EvaluatePartner / EvaluateInto never
+/// thread. BeginScan / EvaluatePartner / EvaluateInto never
 /// mutate the shared state (edges are classified by SluggerState::BandRoot,
 /// a plain array read), so planners on different threads may evaluate
 /// concurrently as long as no Commit is running. Commit requires exclusive
@@ -91,14 +88,9 @@ class MergePlanner {
     slots_.assign(state_->max_supernodes(), RootSlot{});
   }
 
-  /// Starts a partner scan for root a: marks its adjacency for MayOverlap
-  /// and gathers the edges of a's family once for EvaluatePartner.
+  /// Starts a partner scan for root a: marks a and its adjacent roots and
+  /// gathers the edges of a's family once for EvaluatePartner.
   void BeginScan(SupernodeId a);
-
-  /// True iff merging a (from BeginScan) with z could have positive saving:
-  /// they are adjacent or share an adjacent root. Others are skipped —
-  /// distance >= 3 merges always increase the cost (paper Lemma 1).
-  bool MayOverlap(SupernodeId z) const;
 
   /// Computes the plan for merging the scan root with root z into *plan.
   /// If plan->saving_bound shows the saving is below theta or not above
@@ -162,11 +154,9 @@ class MergePlanner {
   MemoTable* memo_;
   std::vector<RootSlot> slots_;
 
-  // Scan state (BeginScan / MayOverlap / EvaluatePartner).
+  // Scan state (BeginScan / EvaluatePartner).
   uint32_t epoch_ = 0;
   SupernodeId scan_root_ = kInvalidId;
-  uint32_t scan_adj_count_ = 0;
-  std::vector<SupernodeId> scan_adj_;
   // [A, A1, A2] of the scan root (kInvalidId if absent).
   SupernodeId scan_family_[3] = {kInvalidId, kInvalidId, kInvalidId};
   SideShape scan_shape_ = SideShape::kLeaf;

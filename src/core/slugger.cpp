@@ -80,7 +80,6 @@ size_t ScanPartners(const SluggerState& state, MergePlanner& planner,
         std::max(state.Height(a), state.Height(z)) + 1 > height_bound) {
       continue;  // Table V height-bounded variant
     }
-    if (!planner.MayOverlap(z)) continue;  // Lemma 1: cannot pay off
     planner.EvaluatePartner(z, theta, best->saving, plan);
     ++counts->evaluations;
     if (!plan->valid) {

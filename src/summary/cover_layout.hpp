@@ -6,9 +6,10 @@
 // edge, instead of a subtree walk per endpoint.
 //
 // CoverLayout lays an in-memory summary out this way, once per immutable
-// summary (slugger::CompressedGraph builds it at its first query); the
-// paged source (storage/paged_source.cpp) parses each v2 record into the
-// same cells and publishes it once.
+// summary (slugger::CompressedGraph builds it at its first query,
+// algs::BatchedSummarySource before its sweep); the paged source
+// (storage/paged_source.cpp) parses each v2 record into the same cells
+// and publishes it once.
 #ifndef SLUGGER_SUMMARY_COVER_LAYOUT_HPP_
 #define SLUGGER_SUMMARY_COVER_LAYOUT_HPP_
 

@@ -5,13 +5,14 @@
 // fail with a Status:
 //   using Handle = ...;  // one ancestor; == means the same supernode
 //   NodeId num_leaves() const;
-//   ForEachRank(nodes, fn)      fn(i, leaf-preorder rank of nodes[i])
 //   ForEachAncestor(v, fn)      fn(Handle) -> Status, v's leaf to its root
 //   ForEachCovered(node, fn)    fn(u, sign) per leaf u node's edges cover
+//   ForEachRank(nodes, fn)      fn(i, leaf-preorder rank of nodes[i]);
+//                               only the batch walk needs it
 // The backends that serve queries read one fixed-width record layout
 // (summary/cover_layout.hpp), so ForEachCovered is a leaf_at scan per
 // edge: neighbor_query.cpp instantiates the walk over an in-memory
-// CoverLayout (and, for callers holding only a SummaryGraph, over the
+// CoverLayout (and, for single queries on a bare SummaryGraph, over the
 // summary's own hierarchy), storage/paged_source.cpp over the records of
 // a paged v2 file. All emit each neighbor list in coverage order, which
 // is unspecified.
@@ -109,38 +110,32 @@ Status WalkQuery(const Records& records, NodeId v, QueryScratch* q,
   return Status::OK();
 }
 
-/// Fills s->order (see ComputeBatchOrder) — or copies `precomputed_order`
-/// — and *chains with the root-first ancestor chains in that processing
+/// Fills s->order with the batch positions sorted by hierarchy locality
+/// and *chains with the root-first ancestor chains in that processing
 /// order, offsets in s->chain_begin. A node equal to its predecessor in
 /// the order gets an empty chain; the batch copies its answer.
 template <typename Records>
 Status WalkBatchOrder(const Records& records, std::span<const NodeId> nodes,
                       BatchScratch* s,
-                      std::vector<typename Records::Handle>* chains,
-                      std::span<const uint32_t> precomputed_order) {
+                      std::vector<typename Records::Handle>* chains) {
   const size_t batch = nodes.size();
   for (NodeId v : nodes) {
     if (v >= records.num_leaves()) return NodeOutOfRange(v);
   }
-  if (!precomputed_order.empty()) {
-    assert(precomputed_order.size() == batch);
-    s->order.assign(precomputed_order.begin(), precomputed_order.end());
-  } else {
-    // Leaf preorder keeps every subtree's leaves contiguous, so ascending
-    // rank clusters shared ancestor chains. Equal ranks mean the same
-    // node; the position breaks the tie, keeping the order deterministic.
-    // The (rank, position) keys sort as plain integers, parked in
-    // chain_begin until the chains are built.
-    s->chain_begin.resize(batch);
-    Status ranked = records.ForEachRank(nodes, [s](size_t i, uint32_t rank) {
-      s->chain_begin[i] = (static_cast<uint64_t>(rank) << 32) | i;
-    });
-    if (!ranked.ok()) return ranked;
-    std::sort(s->chain_begin.begin(), s->chain_begin.end());
-    s->order.resize(batch);
-    for (size_t k = 0; k < batch; ++k) {
-      s->order[k] = static_cast<uint32_t>(s->chain_begin[k]);
-    }
+  // Leaf preorder keeps every subtree's leaves contiguous, so ascending
+  // rank clusters shared ancestor chains. Equal ranks mean the same node;
+  // the position breaks the tie, keeping the order deterministic. The
+  // (rank, position) keys sort as plain integers, parked in chain_begin
+  // until the chains are built.
+  s->chain_begin.resize(batch);
+  Status ranked = records.ForEachRank(nodes, [s](size_t i, uint32_t rank) {
+    s->chain_begin[i] = (static_cast<uint64_t>(rank) << 32) | i;
+  });
+  if (!ranked.ok()) return ranked;
+  std::sort(s->chain_begin.begin(), s->chain_begin.end());
+  s->order.resize(batch);
+  for (size_t k = 0; k < batch; ++k) {
+    s->order[k] = static_cast<uint32_t>(s->chain_begin[k]);
   }
 
   chains->clear();
@@ -190,8 +185,7 @@ template <bool kDegreesOnly, typename Records>
 Status WalkBatch(const Records& records, std::span<const NodeId> nodes,
                  BatchResult* result, std::vector<uint64_t>* degrees,
                  BatchScratch* s,
-                 std::vector<typename Records::Handle>* chains,
-                 std::span<const uint32_t> precomputed_order = {}) {
+                 std::vector<typename Records::Handle>* chains) {
   const size_t batch = nodes.size();
   if constexpr (kDegreesOnly) {
     degrees->assign(batch, 0);
@@ -211,7 +205,7 @@ Status WalkBatch(const Records& records, std::span<const NodeId> nodes,
     }
     return status;
   };
-  Status ordered = WalkBatchOrder(records, nodes, s, chains, precomputed_order);
+  Status ordered = WalkBatchOrder(records, nodes, s, chains);
   if (!ordered.ok()) return fail(ordered);
   const NodeId n = records.num_leaves();
   if (q.count.size() < n) q.count.resize(n, 0);

@@ -122,17 +122,6 @@ double HierarchyForest::AvgLeafDepth() const {
   return static_cast<double>(total) / static_cast<double>(num_leaves_);
 }
 
-std::vector<uint32_t> HierarchyForest::ComputeLeafPreorder() const {
-  std::vector<uint32_t> rank(num_leaves_, 0);
-  std::vector<SupernodeId> stack;
-  uint32_t next = 0;
-  for (SupernodeId s = 0; s < capacity(); ++s) {
-    if (!IsRoot(s)) continue;
-    ForEachLeafWith(&stack, s, [&](NodeId leaf) { rank[leaf] = next++; });
-  }
-  return rank;
-}
-
 HierarchyForest::LeafLayout HierarchyForest::ComputeLeafLayout() const {
   LeafLayout layout;
   layout.rank.assign(num_leaves_, 0);

@@ -111,16 +111,14 @@ class HierarchyForest {
   /// root[s] for every alive supernode, computed in one pass.
   std::vector<SupernodeId> ComputeRootMap() const;
 
-  /// Preorder rank of every leaf (dense, 0-based): the leaves of any
-  /// subtree occupy one contiguous rank range, so sorting node ids by
-  /// rank is equivalent to sorting their root-first ancestor chains
-  /// lexicographically — the hierarchy-locality order the batched query
-  /// path wants, at one integer comparison per pair.
-  std::vector<uint32_t> ComputeLeafPreorder() const;
-
-  /// The leaf preorder plus its inverse and, per supernode, the rank
-  /// interval its leaves occupy. This is the bottom-up aggregate substrate
-  /// of the summary-domain analytics layer (algs/summary_ops): because the
+  /// The preorder rank of every leaf (dense, 0-based), its inverse and,
+  /// per supernode, the rank interval its leaves occupy. The leaves of any
+  /// subtree occupy one contiguous rank range, so sorting node ids by rank
+  /// is equivalent to sorting their root-first ancestor chains
+  /// lexicographically — the hierarchy-locality order of the batched
+  /// query walk, whose record layout (summary/cover_layout.hpp) is built
+  /// from this. It is also the bottom-up aggregate substrate of the
+  /// summary-domain analytics layer (algs/summary_ops): because the
   /// interval family of a forest is laminar, any per-supernode aggregate
   /// over leaf values (sum, count, frontier mass) is one prefix-sum
   /// difference, and any supernode-pair intersection is an interval clamp.

@@ -16,18 +16,10 @@ class SummaryRecords {
  public:
   using Handle = SupernodeId;
 
-  SummaryRecords(const SummaryGraph& summary, std::vector<SupernodeId>* stack,
-                 const std::vector<uint32_t>* leaf_rank = nullptr)
-      : summary_(summary), stack_(stack), leaf_rank_(leaf_rank) {}
+  SummaryRecords(const SummaryGraph& summary, std::vector<SupernodeId>* stack)
+      : summary_(summary), stack_(stack) {}
 
   NodeId num_leaves() const { return summary_.num_leaves(); }
-
-  template <typename Fn>
-  Status ForEachRank(std::span<const NodeId> nodes, Fn&& fn) const {
-    const std::vector<uint32_t>& rank = *leaf_rank_;
-    for (size_t i = 0; i < nodes.size(); ++i) fn(i, rank[nodes[i]]);
-    return Status::OK();
-  }
 
   template <typename Fn>
   Status ForEachAncestor(NodeId v, Fn&& fn) const {
@@ -51,7 +43,6 @@ class SummaryRecords {
  private:
   const SummaryGraph& summary_;
   std::vector<SupernodeId>* stack_;
-  const std::vector<uint32_t>* leaf_rank_;
 };
 
 /// The walk's view of a CoverLayout: parents from the record headers, and
@@ -95,19 +86,6 @@ class LayoutRecords {
  private:
   const CoverLayout& layout_;
 };
-
-/// The records a batch walks: ranks come from `leaf_rank`, rebuilt into
-/// s->preorder (an extra O(|summary|)) when the caller has none and the
-/// batch still needs sorting.
-SummaryRecords BatchRecords(const SummaryGraph& summary, BatchScratch* s,
-                            const std::vector<uint32_t>* leaf_rank,
-                            std::span<const uint32_t> precomputed_order) {
-  if (leaf_rank == nullptr && precomputed_order.empty()) {
-    s->preorder = summary.forest().ComputeLeafPreorder();
-    leaf_rank = &s->preorder;
-  }
-  return SummaryRecords(summary, &s->query.stack, leaf_rank);
-}
 
 /// The in-memory walk fails only on an out-of-range id, which callers of
 /// this layer rule out (the facade validates untrusted ids).
@@ -169,35 +147,6 @@ size_t QueryDegree(const SummaryGraph& summary, NodeId v,
   return static_cast<size_t>(degree);
 }
 
-void ComputeBatchOrder(const SummaryGraph& summary,
-                       std::span<const NodeId> nodes, BatchScratch* scratch,
-                       const std::vector<uint32_t>* leaf_rank,
-                       std::span<const uint32_t> precomputed_order) {
-  ExpectWalked(WalkBatchOrder(
-      BatchRecords(summary, scratch, leaf_rank, precomputed_order), nodes,
-      scratch, &scratch->chains, precomputed_order));
-}
-
-void QueryNeighborsBatch(const SummaryGraph& summary,
-                         std::span<const NodeId> nodes, BatchResult* result,
-                         BatchScratch* scratch,
-                         const std::vector<uint32_t>* leaf_rank,
-                         std::span<const uint32_t> precomputed_order) {
-  ExpectWalked(WalkBatch<false>(
-      BatchRecords(summary, scratch, leaf_rank, precomputed_order), nodes,
-      result, nullptr, scratch, &scratch->chains, precomputed_order));
-}
-
-void QueryDegreeBatch(const SummaryGraph& summary,
-                      std::span<const NodeId> nodes,
-                      std::vector<uint64_t>* degrees, BatchScratch* scratch,
-                      const std::vector<uint32_t>* leaf_rank,
-                      std::span<const uint32_t> precomputed_order) {
-  ExpectWalked(WalkBatch<true>(
-      BatchRecords(summary, scratch, leaf_rank, precomputed_order), nodes,
-      nullptr, degrees, scratch, &scratch->chains, precomputed_order));
-}
-
 const std::vector<NodeId>& QueryNeighbors(
     const CoverLayout& layout, NodeId v, QueryScratch* scratch,
     std::span<const NeighborOverride> overrides) {
@@ -216,17 +165,15 @@ size_t QueryDegree(const CoverLayout& layout, NodeId v, QueryScratch* scratch,
 
 void QueryNeighborsBatch(const CoverLayout& layout,
                          std::span<const NodeId> nodes, BatchResult* result,
-                         BatchScratch* scratch,
-                         std::span<const uint32_t> precomputed_order) {
+                         BatchScratch* scratch) {
   ExpectWalked(WalkBatch<false>(LayoutRecords(layout), nodes, result, nullptr,
-                                scratch, &scratch->chains, precomputed_order));
+                                scratch, &scratch->chains));
 }
 
 void QueryDegreeBatch(const CoverLayout& layout, std::span<const NodeId> nodes,
-                      std::vector<uint64_t>* degrees, BatchScratch* scratch,
-                      std::span<const uint32_t> precomputed_order) {
+                      std::vector<uint64_t>* degrees, BatchScratch* scratch) {
   ExpectWalked(WalkBatch<true>(LayoutRecords(layout), nodes, nullptr, degrees,
-                               scratch, &scratch->chains, precomputed_order));
+                               scratch, &scratch->chains));
 }
 
 }  // namespace slugger::summary

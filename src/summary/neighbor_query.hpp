@@ -1,11 +1,13 @@
 // Partial decompression: neighbor retrieval directly on a summary
 // (paper Algorithm 4) without reconstructing the whole graph: the
 // in-memory instances of the walk in summary/coverage_walk.hpp. Two
-// record sources serve it: a bare SummaryGraph (parent pointers, and a
-// subtree walk per edge endpoint — for callers whose summary changes
-// between calls, like the stream compactor) and a CoverLayout, the
-// summary laid out once in the walk's fixed-width records (contiguous
-// leaf_at scans — what slugger::CompressedGraph serves from).
+// record sources serve it. A CoverLayout is the summary laid out once in
+// the walk's fixed-width records (contiguous leaf_at scans); it serves
+// single and batched queries, and it is what slugger::CompressedGraph
+// and algs::BatchedSummarySource walk. A bare SummaryGraph (parent
+// pointers, and a subtree walk per edge endpoint) serves single queries
+// only, for callers whose summary changes between calls, like the stream
+// compactor's AccumulateCoverage.
 //
 // The query state is split so a service can serve concurrent readers:
 // the summary (or its layout) is the immutable shared index, and ALL
@@ -130,75 +132,37 @@ struct BatchScratch {
   std::vector<uint32_t> order;       ///< batch positions, locality-sorted
   std::vector<NodeId> staged;        ///< neighbors in processing order
   std::vector<uint64_t> staged_begin;
-  std::vector<uint32_t> preorder;    ///< fallback leaf ranks (see below)
 };
 
-/// Fills scratch->order with the batch positions sorted by hierarchy
-/// locality (leaf preorder) and scratch->chains/chain_begin with the
-/// root-first ancestor chain of each nodes[order[k]] (empty for a copy of
-/// its predecessor): nodes sharing a long ancestor chain become adjacent,
-/// which is what lets the batch pass below reuse one coverage application
-/// per shared ancestor. Exposed so callers that shard a batch across
-/// threads can sort once globally and keep each shard's slice
-/// locality-contiguous. Every node must be < num_leaves().
-///
-/// `leaf_rank`, when provided, must be ComputeLeafPreorder() of the
-/// summary's forest; since the forest is immutable while queries run, a
-/// caller that batches one summary repeatedly computes it once and passes
-/// it to every batch. When null it is rebuilt into scratch->preorder, an
-/// extra O(|summary|) per call.
-///
-/// `precomputed_order`, when non-empty, must be a permutation of
-/// [0, nodes.size()) that already sorts the batch by leaf rank (ties by
-/// position); it is copied into scratch->order and the O(b log b) sort is
-/// skipped — the win for callers that sorted once globally and now batch a
-/// presorted slice, who pass the identity. The ancestor chains are built
-/// either way. An order that is not locality-sorted only costs speed,
-/// never correctness.
-void ComputeBatchOrder(const SummaryGraph& summary,
-                       std::span<const NodeId> nodes, BatchScratch* scratch,
-                       const std::vector<uint32_t>* leaf_rank = nullptr,
-                       std::span<const uint32_t> precomputed_order = {});
-
-/// Batched QueryNeighbors: answers every node of `nodes` (duplicates
-/// allowed) into *result, in input order. Internally processes the batch
-/// in hierarchy-locality order and keeps the signed coverage of the
-/// shared ancestor-chain prefix applied across consecutive nodes, so the
-/// dominant cost of Algorithm 4 — expanding each ancestor's superedges to
-/// leaves — is paid once per distinct chain segment instead of once per
-/// node. Thread-safe for concurrent callers with distinct scratches.
-/// `leaf_rank` and `precomputed_order` as in ComputeBatchOrder.
-void QueryNeighborsBatch(const SummaryGraph& summary,
-                         std::span<const NodeId> nodes, BatchResult* result,
-                         BatchScratch* scratch,
-                         const std::vector<uint32_t>* leaf_rank = nullptr,
-                         std::span<const uint32_t> precomputed_order = {});
-
-/// Batched QueryDegree under the same amortization: degrees->at(i) is the
-/// degree of nodes[i]; no neighbor list is materialized.
-void QueryDegreeBatch(const SummaryGraph& summary,
-                      std::span<const NodeId> nodes,
-                      std::vector<uint64_t>* degrees, BatchScratch* scratch,
-                      const std::vector<uint32_t>* leaf_rank = nullptr,
-                      std::span<const uint32_t> precomputed_order = {});
-
-/// The same queries over a summary laid out once as a CoverLayout — what
-/// slugger::CompressedGraph serves from. Covering an ancestor scans one
-/// contiguous leaf_at run per superedge instead of a subtree per
-/// endpoint, and batches sort on the layout's rank. Same contracts and
-/// thread safety as the SummaryGraph overloads above.
+/// The same single queries over a summary laid out once as a CoverLayout
+/// — what slugger::CompressedGraph serves from. Covering an ancestor
+/// scans one contiguous leaf_at run per superedge instead of a subtree
+/// per endpoint. Same contracts and thread safety as the SummaryGraph
+/// overloads above.
 const std::vector<NodeId>& QueryNeighbors(
     const CoverLayout& layout, NodeId v, QueryScratch* scratch,
     std::span<const NeighborOverride> overrides = {});
 size_t QueryDegree(const CoverLayout& layout, NodeId v, QueryScratch* scratch,
                    std::span<const NeighborOverride> overrides = {});
+
+/// Batched QueryNeighbors: answers every node of `nodes` (duplicates
+/// allowed) into *result, in input order. Internally processes the batch
+/// in hierarchy-locality order (ascending leaf-preorder rank, so nodes
+/// sharing a long ancestor chain become adjacent) and keeps the signed
+/// coverage of the shared ancestor-chain prefix applied across
+/// consecutive nodes, so the dominant cost of Algorithm 4 — expanding
+/// each ancestor's superedges to leaves — is paid once per distinct chain
+/// segment instead of once per node. Every node must be < num_leaves()
+/// (asserted). Thread-safe for concurrent callers with distinct
+/// scratches.
 void QueryNeighborsBatch(const CoverLayout& layout,
                          std::span<const NodeId> nodes, BatchResult* result,
-                         BatchScratch* scratch,
-                         std::span<const uint32_t> precomputed_order = {});
+                         BatchScratch* scratch);
+
+/// Batched QueryDegree under the same amortization: degrees->at(i) is the
+/// degree of nodes[i]; no neighbor list is materialized.
 void QueryDegreeBatch(const CoverLayout& layout, std::span<const NodeId> nodes,
-                      std::vector<uint64_t>* degrees, BatchScratch* scratch,
-                      std::span<const uint32_t> precomputed_order = {});
+                      std::vector<uint64_t>* degrees, BatchScratch* scratch);
 
 }  // namespace slugger::summary
 

@@ -172,6 +172,36 @@ TEST_P(HierarchyNative, TrianglesAgreeWithRaw) {
   EXPECT_EQ(TrianglesOnGraph(g), TrianglesOnHierarchy(s));
 }
 
+TEST_P(HierarchyNative, BatchedSourceAnalyticsAgreeWithRaw) {
+  // The adjacency adapter sweeps the summary's record layout; on these
+  // n-edge-heavy summaries every list, and the traversals run over them,
+  // must still be the raw graph's.
+  graph::Graph g = GetParam().make();
+  summary::SummaryGraph s = Summarize(g, 5);
+  for (size_t block_size : {size_t{64}, size_t{1} << 16}) {
+    BatchedSummarySource batched(s, block_size);
+    ASSERT_EQ(batched.num_nodes(), g.num_nodes());
+    for (NodeId u = 0; u < g.num_nodes(); ++u) {
+      std::span<const NodeId> got = batched.Neighbors(u);
+      std::vector<NodeId> sorted(got.begin(), got.end());
+      std::sort(sorted.begin(), sorted.end());
+      std::span<const NodeId> want = g.Neighbors(u);
+      ASSERT_EQ(sorted, std::vector<NodeId>(want.begin(), want.end()))
+          << "block " << block_size << ", node " << u;
+    }
+  }
+  for (NodeId start : {NodeId{0}, g.num_nodes() / 3, g.num_nodes() - 1}) {
+    // Neighbor order differs between sources; compare visited sets.
+    std::vector<NodeId> raw = DfsOnGraph(g, start);
+    std::vector<NodeId> cmp = DfsOnSummary(s, start);
+    EXPECT_EQ(std::set<NodeId>(raw.begin(), raw.end()),
+              std::set<NodeId>(cmp.begin(), cmp.end()))
+        << "start " << start;
+    EXPECT_EQ(DijkstraOnGraph(g, start), DijkstraOnSummary(s, start))
+        << "start " << start;
+  }
+}
+
 TEST_P(HierarchyNative, DegreesAreExact) {
   graph::Graph g = GetParam().make();
   summary::SummaryGraph s = Summarize(g, 5);

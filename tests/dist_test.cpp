@@ -5,15 +5,13 @@
 // nodes, duplicates, hostile ids included), degraded-shard Status
 // paths, rebalance, and multi-reader churn with a mid-stream shard
 // republish (the churn test runs under ThreadSanitizer in CI). Also
-// covers the satellite changes riding along: the paged query-error
-// counter on CompressedGraph and precomputed batch orders.
+// covers the paged query-error counter on CompressedGraph.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
-#include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
@@ -627,40 +625,6 @@ TEST(QueryErrors, PagedIoFailuresAreCountedAndLastStatusSet) {
   ASSERT_FALSE(paged.value().NeighborsBatch({{victim}}, &out).ok());
   ASSERT_GT(paged.value().query_errors(), after_single);
   std::remove(path.c_str());
-}
-
-// --------------------------------- satellite: precomputed batch order
-
-TEST(BatchOrder, PrecomputedIdentityOnPresortedBatchMatchesDefault) {
-  graph::Graph g = gen::RMat(9, 4096, 0.57, 0.19, 0.19, /*seed=*/3);
-  CompressedGraph cg = Compress(g);
-  const summary::SummaryGraph& s = cg.summary();
-  const std::vector<uint32_t> leaf_rank = s.forest().ComputeLeafPreorder();
-  const std::vector<NodeId> nodes = AdversarialBatch(g.num_nodes(), 61);
-
-  // Sort the batch by locality once, the way the parallel overloads do.
-  summary::BatchScratch scratch;
-  summary::ComputeBatchOrder(s, nodes, &scratch, &leaf_rank);
-  std::vector<NodeId> sorted_nodes(nodes.size());
-  for (size_t k = 0; k < nodes.size(); ++k) {
-    sorted_nodes[k] = nodes[scratch.order[k]];
-  }
-  std::vector<uint32_t> identity(nodes.size());
-  std::iota(identity.begin(), identity.end(), 0u);
-
-  BatchResult with_sort, with_identity;
-  summary::BatchScratch s1, s2;
-  summary::QueryNeighborsBatch(s, sorted_nodes, &with_sort, &s1, &leaf_rank);
-  summary::QueryNeighborsBatch(s, sorted_nodes, &with_identity, &s2,
-                               &leaf_rank, identity);
-  ASSERT_EQ(with_identity.offsets, with_sort.offsets);
-  ASSERT_EQ(with_identity.neighbors, with_sort.neighbors);
-
-  std::vector<uint64_t> deg_sort, deg_identity;
-  summary::QueryDegreeBatch(s, sorted_nodes, &deg_sort, &s1, &leaf_rank);
-  summary::QueryDegreeBatch(s, sorted_nodes, &deg_identity, &s2, &leaf_rank,
-                            identity);
-  ASSERT_EQ(deg_identity, deg_sort);
 }
 
 }  // namespace

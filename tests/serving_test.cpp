@@ -1,8 +1,8 @@
-// Tests for the serving layer (ISSUE 4): batched neighbor/degree queries
-// must agree exactly with the single-node path (sequential and parallel,
-// on RMAT and ER inputs, with duplicates and adversarial orders), and a
-// SnapshotRegistry swap must never interrupt or corrupt concurrent
-// readers. The churn test runs under ThreadSanitizer in CI.
+// Tests for the serving layer: batched neighbor/degree queries must agree
+// exactly with the single-node path (on RMAT and ER inputs, with
+// duplicates and adversarial orders), and a SnapshotRegistry swap must
+// never interrupt or corrupt concurrent readers. The churn test runs
+// under ThreadSanitizer in CI.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,7 +14,6 @@
 #include "api/snapshot_registry.hpp"
 #include "gen/generators.hpp"
 #include "util/random.hpp"
-#include "util/thread_pool.hpp"
 
 namespace slugger {
 namespace {
@@ -37,13 +36,12 @@ std::vector<NodeId> SortedSingleAnswer(const CompressedGraph& cg, NodeId v,
 }
 
 /// Batch answers must equal the single-node answers as sets, node by node
-/// and in the caller's input order, for every overload. The facade walks
-/// its record layout; its single answers, overrides included, must also
-/// equal the walk over the bare summary's own hierarchy.
+/// and in the caller's input order. The facade walks its record layout;
+/// its single answers, overrides included, must also equal the walk over
+/// the bare summary's own hierarchy.
 void ExpectBatchAgreesWithSingles(const graph::Graph& g,
                                   const CompressedGraph& cg,
-                                  const std::vector<NodeId>& nodes,
-                                  ThreadPool* pool) {
+                                  const std::vector<NodeId>& nodes) {
   QueryScratch single_scratch;
   QueryScratch bare_scratch;
   BatchScratch batch_scratch;
@@ -52,15 +50,9 @@ void ExpectBatchAgreesWithSingles(const graph::Graph& g,
   ASSERT_TRUE(cg.NeighborsBatch(nodes, &sequential, &batch_scratch).ok());
   ASSERT_EQ(sequential.size(), nodes.size());
 
-  BatchResult parallel;
-  ASSERT_TRUE(cg.NeighborsBatch(nodes, &parallel, pool).ok());
-  ASSERT_EQ(parallel.size(), nodes.size());
-
-  std::vector<uint64_t> degrees_seq, degrees_par;
+  std::vector<uint64_t> degrees_seq;
   ASSERT_TRUE(cg.DegreeBatch(nodes, &degrees_seq, &batch_scratch).ok());
-  ASSERT_TRUE(cg.DegreeBatch(nodes, &degrees_par, pool).ok());
   ASSERT_EQ(degrees_seq.size(), nodes.size());
-  ASSERT_EQ(degrees_par.size(), nodes.size());
 
   for (size_t i = 0; i < nodes.size(); ++i) {
     const std::vector<NodeId> expected =
@@ -69,12 +61,7 @@ void ExpectBatchAgreesWithSingles(const graph::Graph& g,
     std::sort(got_seq.begin(), got_seq.end());
     ASSERT_EQ(got_seq, expected) << "sequential batch, position " << i
                                  << ", node " << nodes[i];
-    std::vector<NodeId> got_par(parallel[i].begin(), parallel[i].end());
-    std::sort(got_par.begin(), got_par.end());
-    ASSERT_EQ(got_par, expected) << "parallel batch, position " << i
-                                 << ", node " << nodes[i];
     ASSERT_EQ(degrees_seq[i], expected.size()) << "position " << i;
-    ASSERT_EQ(degrees_par[i], expected.size()) << "position " << i;
     // Lossless end to end: the compressed answers are the graph's.
     ASSERT_EQ(expected.size(), g.Degree(nodes[i])) << "node " << nodes[i];
 
@@ -125,17 +112,13 @@ std::vector<NodeId> AdversarialBatch(NodeId num_nodes, uint64_t seed) {
 TEST(BatchQuery, AgreesWithSingleQueriesOnRmat) {
   graph::Graph g = gen::RMat(10, 8192, 0.57, 0.19, 0.19, /*seed=*/3);
   CompressedGraph cg = Compress(g);
-  ThreadPool pool(4);
-  ExpectBatchAgreesWithSingles(g, cg, AdversarialBatch(g.num_nodes(), 11),
-                               &pool);
+  ExpectBatchAgreesWithSingles(g, cg, AdversarialBatch(g.num_nodes(), 11));
 }
 
 TEST(BatchQuery, AgreesWithSingleQueriesOnErdosRenyi) {
   graph::Graph g = gen::ErdosRenyi(900, 5400, 21);
   CompressedGraph cg = Compress(g);
-  ThreadPool pool(3);
-  ExpectBatchAgreesWithSingles(g, cg, AdversarialBatch(g.num_nodes(), 12),
-                               &pool);
+  ExpectBatchAgreesWithSingles(g, cg, AdversarialBatch(g.num_nodes(), 12));
 }
 
 TEST(BatchQuery, EdgeCaseBatches) {
