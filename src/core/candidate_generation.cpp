@@ -1,6 +1,8 @@
 #include "core/candidate_generation.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cassert>
 #include <utility>
 
 #include "util/hashing.hpp"
@@ -26,6 +28,36 @@ constexpr size_t kParallelRedivideMin = 256;
 constexpr uint64_t kRedivideGrain = 16;
 
 }  // namespace
+
+void SortByShingle(std::vector<KeyedRoot>* keyed,
+                   std::vector<KeyedRoot>* scratch,
+                   std::vector<uint32_t>* bucket_end) {
+  const size_t n = keyed->size();
+  if (n < 2) return;
+  // 2^bits buckets, n/2 to n of them, by the shingle's top bits.
+  const int bits = std::bit_width(n) - 1;
+  const int shift = 64 - bits;
+  const size_t buckets = size_t{1} << bits;
+  bucket_end->assign(buckets + 1, 0);
+  for (const KeyedRoot& k : *keyed) ++(*bucket_end)[(k.first >> shift) + 1];
+  for (size_t b = 0; b < buckets; ++b) {
+    (*bucket_end)[b + 1] += (*bucket_end)[b];
+  }
+  // Scatter; each bucket's cursor ends at the next bucket's start.
+  scratch->resize(n);
+  for (const KeyedRoot& k : *keyed) {
+    (*scratch)[(*bucket_end)[k.first >> shift]++] = k;
+  }
+  uint32_t begin = 0;
+  for (size_t b = 0; b < buckets; ++b) {
+    const uint32_t end = (*bucket_end)[b];
+    if (end - begin > 1) {
+      std::sort(scratch->begin() + begin, scratch->begin() + end);
+    }
+    begin = end;
+  }
+  keyed->swap(*scratch);
+}
 
 uint64_t CandidateGenerator::LeafShingleAtLevel(NodeId u,
                                                 uint64_t level_salt) const {
@@ -73,14 +105,22 @@ void CandidateGenerator::BuildIterationCache(const SluggerState& state,
   }
 
   // Bucket leaves per root once (CSR), replacing per-level tree walks.
-  std::vector<SupernodeId> root_map = forest.ComputeRootMap();
+  // Every supernode takes its root's slot in one sweep down from the
+  // highest id: a merge-phase parent has a larger id than its children,
+  // so its slot is set before theirs.
   root_slot_.resize(forest.capacity());
   const uint32_t num_roots = static_cast<uint32_t>(roots.size());
   for (uint32_t i = 0; i < num_roots; ++i) root_slot_[roots[i]] = i;
+  for (SupernodeId s = forest.capacity(); s-- > 0;) {
+    const SupernodeId p = forest.Parent(s);
+    if (p == kInvalidId) continue;
+    assert(p > s && "merge-phase parents outrank their children");
+    root_slot_[s] = root_slot_[p];
+  }
 
   leaf_offsets_.assign(num_roots + 1, 0);
   for (NodeId u = 0; u < n; ++u) {
-    ++leaf_offsets_[root_slot_[root_map[u]] + 1];
+    ++leaf_offsets_[root_slot_[u] + 1];
   }
   for (uint32_t i = 0; i < num_roots; ++i) {
     leaf_offsets_[i + 1] += leaf_offsets_[i];
@@ -90,7 +130,7 @@ void CandidateGenerator::BuildIterationCache(const SluggerState& state,
     std::vector<uint32_t> cursor(leaf_offsets_.begin(),
                                  leaf_offsets_.end() - 1);
     for (NodeId u = 0; u < n; ++u) {
-      leaf_ids_[cursor[root_slot_[root_map[u]]]++] = u;
+      leaf_ids_[cursor[root_slot_[u]]++] = u;
     }
   }
 
@@ -117,11 +157,13 @@ std::vector<std::vector<SupernodeId>> CandidateGenerator::Generate(
 
   std::vector<Pending> work;
   std::vector<std::vector<SupernodeId>> out;
-  std::vector<std::pair<uint64_t, SupernodeId>> keyed;
+  std::vector<KeyedRoot> keyed;
+  std::vector<KeyedRoot> sort_scratch;
+  std::vector<uint32_t> bucket_end;
 
   // Splits one keyed batch into emitted groups and oversized re-divisions.
   auto split_runs = [&](uint32_t level) {
-    std::sort(keyed.begin(), keyed.end());
+    SortByShingle(&keyed, &sort_scratch, &bucket_end);
     size_t i = 0;
     while (i < keyed.size()) {
       size_t j = i + 1;

@@ -11,13 +11,16 @@
 // formulation: one keyed hash per node is computed once per iteration (a
 // parallelizable pass over the CSR graph), per-node closed-neighborhood
 // shingles are derived from it in a second pass, and leaves are bucketed
-// per root once (via the forest's root map) so re-division levels scan flat
-// leaf arrays instead of re-walking hierarchy trees. Deeper levels derive
-// fresh hash values by re-mixing the cached per-node hash with a level
-// salt, so no level ever re-runs the keyed hash over the graph.
+// per root once (each leaf's root found by one sweep over the parent
+// links) so re-division levels scan flat leaf arrays instead of re-walking
+// hierarchy trees. Deeper levels derive fresh hash values by re-mixing the
+// cached per-node hash with a level salt, so no level ever re-runs the
+// keyed hash over the graph. Each level sorts its (shingle, root) pairs by
+// bucketing on the shingle's top bits (SortByShingle).
 #ifndef SLUGGER_CORE_CANDIDATE_GENERATION_HPP_
 #define SLUGGER_CORE_CANDIDATE_GENERATION_HPP_
 
+#include <utility>
 #include <vector>
 
 #include "core/slugger_state.hpp"
@@ -26,6 +29,18 @@
 #include "util/thread_pool.hpp"
 
 namespace slugger::core {
+
+/// A root keyed by its shingle at some division level.
+using KeyedRoot = std::pair<uint64_t, SupernodeId>;
+
+/// Sorts `keyed` into ascending (shingle, root) order, the order std::sort
+/// gives, with one counting pass over the shingles' top bits and a sort of
+/// each bucket. Shingles are hash values, so a bucket holds about two
+/// pairs beyond the roots that share its shingle. `scratch` and
+/// `bucket_end` are reusable storage.
+void SortByShingle(std::vector<KeyedRoot>* keyed,
+                   std::vector<KeyedRoot>* scratch,
+                   std::vector<uint32_t>* bucket_end);
 
 class CandidateGenerator {
  public:
@@ -63,7 +78,7 @@ class CandidateGenerator {
   // ---- per-iteration shingle cache (rebuilt by BuildIterationCache) ----
   std::vector<uint64_t> node_base_;     ///< keyed hash h_t(u) per node
   std::vector<uint64_t> node_shingle_;  ///< min over N[u] of node_base_
-  std::vector<uint32_t> root_slot_;     ///< root id -> index into buckets
+  std::vector<uint32_t> root_slot_;     ///< supernode -> its root's slot
   std::vector<uint32_t> leaf_offsets_;  ///< CSR offsets per root slot
   std::vector<NodeId> leaf_ids_;        ///< leaves grouped by root
   std::vector<uint64_t> root_shingle_;  ///< level-0 min-shingle per slot

@@ -94,17 +94,13 @@ void MergePlanner::BeginScan(SupernodeId a) {
   assert(slots_.size() >= state_->summary().forest().capacity());
   NextEpoch(&epoch_, &RootSlot::mark);
   scan_root_ = a;
-  slots_[a].mark = epoch_;
-  slots_[a].tally = 0;
-  state_->RootAdjacency(a).ForEach([&](SupernodeId c, uint32_t) {
-    slots_[c].mark = epoch_;
-    slots_[c].tally = 0;
-  });
 
   // Gather a's family [A, A1, A2] once for every partner, and tally it:
   // within-family edges, and cross edges per adjacent root. An edge whose
   // other end lies deep in some tree is never re-encoded; an edge inside
-  // the family is kept once, from its lower slot.
+  // the family is kept once, from its lower slot. A root's slot is marked
+  // at the family's first edge into its band, so an unmarked slot means a
+  // tally of zero.
   const SummaryGraph& summary = state_->summary();
   const summary::HierarchyForest& forest = summary.forest();
   const auto& kids = forest.Children(a);
@@ -128,7 +124,10 @@ void MergePlanner::BeginScan(SupernodeId a) {
         scan_within_ += TallyOf(sign);
       } else {
         RootSlot& slot = slots_[band];
-        assert(slot.mark == epoch_ && "a cross edge's root is adjacent");
+        if (slot.mark != epoch_) {
+          slot.mark = epoch_;
+          slot.tally = 0;
+        }
         const uint32_t before = slot.tally;
         slot.tally += TallyOf(sign);
         scan_gain_ += BucketGain(slot.tally) - BucketGain(before);
@@ -325,6 +324,8 @@ void MergePlanner::EvaluatePartner(SupernodeId z, double theta, double best,
   if (solved1.feasible && solved1.edges.size() < old_within_.size()) {
     removed_total += old_within_.size();
     added_total += solved1.edges.size();
+    plan->within_delta = static_cast<int32_t>(solved1.edges.size()) -
+                         static_cast<int32_t>(old_within_.size());
     for (const auto& e : old_within_) plan->removes.emplace_back(e.x, e.y);
     for (auto [slot, sign] : solved1.edges) {
       const Slot& s = case1.slots[slot];
@@ -342,6 +343,9 @@ void MergePlanner::EvaluatePartner(SupernodeId z, double theta, double best,
     if (solved2.feasible && solved2.edges.size() < bucket.old_edges.size()) {
       removed_total += bucket.old_edges.size();
       added_total += solved2.edges.size();
+      plan->between_deltas.emplace_back(
+          bucket.c_nodes[0], static_cast<int32_t>(solved2.edges.size()) -
+                                 static_cast<int32_t>(bucket.old_edges.size()));
       for (const auto& e : bucket.old_edges) {
         plan->removes.emplace_back(e.x, e.y);
       }
@@ -363,8 +367,12 @@ void MergePlanner::EvaluatePartner(SupernodeId z, double theta, double best,
 SupernodeId MergePlanner::Commit(const MergePlan& plan) {
   assert(plan.valid);
   scan_root_ = kInvalidId;  // the scan cache describes the old state
+  // The plan knows every rewritten edge's group, so no edge needs a root
+  // lookup: MergeRoots folds a's and b's aggregates as they stood, and
+  // each group's net change is booked on the merged root afterwards.
+  SummaryGraph& summary = state_->summary();
   for (const auto& [x, y] : plan.removes) {
-    EdgeSign sign = state_->RemoveEdge(x, y);
+    EdgeSign sign = summary.RemoveEdge(x, y);
     assert(sign != 0 && "plan is stale: edge to remove is absent");
     (void)sign;
   }
@@ -372,7 +380,13 @@ SupernodeId MergePlanner::Commit(const MergePlan& plan) {
   for (const auto& e : plan.adds) {
     SupernodeId x = e.x == MergePlan::kMergedSentinel ? m : e.x;
     SupernodeId y = e.y == MergePlan::kMergedSentinel ? m : e.y;
-    state_->AddEdge(x, y, e.sign);
+    bool inserted = summary.AddEdge(x, y, e.sign);
+    assert(inserted && "plan adds an edge that is present");
+    (void)inserted;
+  }
+  state_->ShiftWithin(m, plan.within_delta);
+  for (const auto& [c, delta] : plan.between_deltas) {
+    state_->ShiftBetween(m, c, delta);
   }
   return m;
 }

@@ -7,10 +7,12 @@
 // Commit() applies the recorded edge rewrites and performs the merge.
 //
 // The scan protocol accelerates Algorithm 2's partner search for a fixed A:
-//   - BeginScan(A) marks A's adjacent roots and gathers the edges of A's
-//     family once, each classified by the top band its other end lies in.
-//     It tallies them by group (A's within-family edges, and A's cross
-//     edges per adjacent root: count and n-edges).
+//   - BeginScan(A) gathers the edges of A's family once, each classified
+//     by the top band its other end lies in, and tallies them by group
+//     (A's within-family edges, and A's cross edges per adjacent root:
+//     count and n-edges). It marks only the roots those edges reach, not
+//     A's whole root adjacency: a root no family edge reaches has a tally
+//     of zero.
 //   - EvaluatePartner(Z) walks only Z's family, adds its edges to the
 //     tallies, and bounds the saving before any bucket is built or solved.
 //     A group is the within-family edges, or the cross edges of one
@@ -56,6 +58,11 @@ struct MergePlan {
   };
   std::vector<std::pair<SupernodeId, SupernodeId>> removes;
   std::vector<SignedEdge> adds;
+  /// Net edge change of each rewritten group, which Commit books once per
+  /// group: inside the merged tree, and per bucket between the merged tree
+  /// and the bucket's root.
+  int32_t within_delta = 0;
+  std::vector<std::pair<SupernodeId, int32_t>> between_deltas;
 
   void Reset(SupernodeId a_in, SupernodeId b_in) {
     a = a_in;
@@ -65,6 +72,8 @@ struct MergePlan {
     cost_after = cost_before = 0;
     removes.clear();
     adds.clear();
+    within_delta = 0;
+    between_deltas.clear();
   }
 };
 
@@ -88,8 +97,8 @@ class MergePlanner {
     slots_.assign(state_->max_supernodes(), RootSlot{});
   }
 
-  /// Starts a partner scan for root a: marks a and its adjacent roots and
-  /// gathers the edges of a's family once for EvaluatePartner.
+  /// Starts a partner scan for root a: gathers and tallies the edges of
+  /// a's family once for EvaluatePartner, marking the roots they reach.
   void BeginScan(SupernodeId a);
 
   /// Computes the plan for merging the scan root with root z into *plan.
@@ -112,7 +121,8 @@ class MergePlanner {
   double Saving(SupernodeId a, SupernodeId b) { return Evaluate(a, b).saving; }
 
   /// Applies `plan` (must have been evaluated against the current state)
-  /// and returns the merged supernode id.
+  /// and returns the merged supernode id. Edges change one by one on the
+  /// summary; the aggregates change once per rewritten group.
   SupernodeId Commit(const MergePlan& plan);
 
  private:
@@ -139,7 +149,7 @@ class MergePlanner {
   /// Per-supernode scratch, so one band-root lookup touches one cache line.
   /// A tally counts edges plus kNegative per n-edge (see the .cpp).
   struct RootSlot {
-    uint32_t mark = 0;   // == epoch_: the scan root or adjacent to it
+    uint32_t mark = 0;   // == epoch_: the scan root's family reaches it
     uint32_t tally = 0;  // scan root's edges into this band (with mark)
     uint32_t stamp = 0;  // == eval_epoch_: `count` is current
     uint32_t count = 0;  // partner's edges into this band, then

@@ -130,6 +130,41 @@ void RunGroupsSequential(const SluggerState& state, WorkerContext& ctx,
   }
 }
 
+/// True iff no pair of this round can reach theta, so its scans can be
+/// skipped. That holds at θ ≥ 1/2 while nothing has merged (h_count() == 0:
+/// every root is a leaf and P+ = E). Take leaves a and z with c common
+/// neighbours. Of the groups a rewrite may change, the edge a–z (if any)
+/// and each single cross edge can remove nothing, and each common
+/// neighbour's bucket of two p-edges can remove one; the merge adds two
+/// h-edges. So the saving bound is (c − 2) / cost_before. Each common
+/// neighbour brings one edge of a and one of z, so cost_before ≥ 2c and the
+/// bound is at most (c − 2) / 2c = 1/2 − 1/c < 1/2 (K₂,₅₀₀'s twins reach
+/// 498/1000). The bound therefore cuts every such pair; only a pair of
+/// edgeless leaves (cost_before = 0) is valid, and it saves −∞.
+bool RoundCannotMerge(const SluggerState& state, double theta) {
+  return theta >= 0.5 && state.summary().h_count() == 0;
+}
+
+/// Books a skipped round exactly as its scans would: every pair of a group
+/// is evaluated once, and the bound cuts all but the pairs of edgeless
+/// leaves. The sequential engine's shared stream still makes its
+/// Below(k) … Below(2) draws per group; the round-based engine seeds each
+/// group's stream afresh per round, so it draws nothing.
+void SkipRound(const SluggerState& state,
+               const std::vector<std::vector<SupernodeId>>& groups,
+               Rng* seq_rng, SluggerResult* result) {
+  for (const std::vector<SupernodeId>& q : groups) {
+    const uint64_t k = q.size();
+    uint64_t edgeless = 0;
+    for (SupernodeId r : q) edgeless += state.IncCost(r) == 0;
+    result->evaluations += k * (k - 1) / 2;
+    result->bounded += k * (k - 1) / 2 - edgeless * (edgeless - 1) / 2;
+    if (seq_rng != nullptr) {
+      for (uint64_t size = k; size > 1; --size) seq_rng->Below(size);
+    }
+  }
+}
+
 /// Round-based engine (num_threads >= 2): every active group picks its
 /// merge candidate against the same frozen state in parallel (read-only),
 /// then the chosen merges commit serially in group order, re-evaluated
@@ -270,7 +305,10 @@ SluggerResult Summarize(const graph::Graph& g, const SluggerConfig& config,
         generator.Generate(state, t, pool);
     result.candidate_seconds += candidate_timer.Seconds();
 
-    if (pool == nullptr) {
+    if (RoundCannotMerge(state, theta)) {
+      SkipRound(state, groups, pool == nullptr ? &seq_rng : nullptr,
+                &result);
+    } else if (pool == nullptr) {
       RunGroupsSequential(state, *workers[0], seq_rng, groups, theta, hb,
                           hooks.cancel, &result);
     } else {

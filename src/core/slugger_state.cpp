@@ -1,16 +1,18 @@
 #include "core/slugger_state.hpp"
 
 #include <cassert>
+#include <unordered_map>
 #include <utility>
+
+#include "util/hashing.hpp"
 
 namespace slugger::core {
 
 SluggerState::SluggerState(const graph::Graph& g)
-    : input_(&g), summary_(g.num_nodes()), dsu_(g.num_nodes()) {
+    : input_(&g), summary_(g.num_nodes()) {
   const NodeId n = g.num_nodes();
   // n leaves plus at most n - 1 merged supernodes.
   max_supernodes_ = n == 0 ? 0 : 2 * n - 1;
-  root_of_.resize(n);
   band_root_.resize(n);
   roots_.resize(n);
   root_pos_.resize(n);
@@ -20,23 +22,21 @@ SluggerState::SluggerState(const graph::Graph& g)
   height_.assign(n, 0);
   root_adj_.resize(n);
   for (NodeId u = 0; u < n; ++u) {
-    root_of_[u] = u;
     band_root_[u] = u;
     roots_[u] = u;
     root_pos_[u] = u;
   }
-  for (const Edge& e : g.Edges()) {
-    AddEdge(e.first, e.second, +1);
+  // Every root is a leaf, so a leaf's root adjacency is its CSR row with
+  // count 1, in a map sized once for it.
+  for (NodeId u = 0; u < n; ++u) {
+    const auto neighbors = g.Neighbors(u);
+    inc_[u] = neighbors.size();
+    root_adj_[u].Reserve(neighbors.size());
+    for (NodeId v : neighbors) root_adj_[u].Put(v, 1);
   }
-}
-
-void SluggerState::RootAdjAdd(SupernodeId ra, SupernodeId rb, int delta) {
-  uint32_t& ab = root_adj_[ra].GetOrInsert(rb, 0);
-  ab = static_cast<uint32_t>(static_cast<int64_t>(ab) + delta);
-  if (ab == 0) root_adj_[ra].Erase(rb);
-  uint32_t& ba = root_adj_[rb].GetOrInsert(ra, 0);
-  ba = static_cast<uint32_t>(static_cast<int64_t>(ba) + delta);
-  if (ba == 0) root_adj_[rb].Erase(ra);
+  for (const Edge& e : g.Edges()) {
+    summary_.AddEdge(e.first, e.second, +1);
+  }
 }
 
 void SluggerState::AddEdge(SupernodeId x, SupernodeId y, EdgeSign sign) {
@@ -46,29 +46,28 @@ void SluggerState::AddEdge(SupernodeId x, SupernodeId y, EdgeSign sign) {
   SupernodeId rx = FindRoot(x);
   SupernodeId ry = FindRoot(y);
   if (rx == ry) {
-    ++within_[rx];
-    ++inc_[rx];
+    ShiftWithin(rx, +1);
   } else {
-    RootAdjAdd(rx, ry, +1);
-    ++inc_[rx];
-    ++inc_[ry];
+    ShiftBetween(rx, ry, +1);
   }
 }
 
-EdgeSign SluggerState::RemoveEdge(SupernodeId x, SupernodeId y) {
-  SupernodeId rx = FindRoot(x);
-  SupernodeId ry = FindRoot(y);
-  EdgeSign sign = summary_.RemoveEdge(x, y);
-  if (sign == 0) return 0;
-  if (rx == ry) {
-    --within_[rx];
-    --inc_[rx];
-  } else {
-    RootAdjAdd(rx, ry, -1);
-    --inc_[rx];
-    --inc_[ry];
+// The counters are unsigned and never go negative, so adding a negative
+// delta modulo 2^64 (or 2^32) lands on the right value.
+void SluggerState::ShiftWithin(SupernodeId root, int64_t delta) {
+  within_[root] += static_cast<uint64_t>(delta);
+  inc_[root] += static_cast<uint64_t>(delta);
+}
+
+void SluggerState::ShiftBetween(SupernodeId a, SupernodeId b,
+                                int64_t delta) {
+  assert(a != b);
+  for (auto [from, to] : {std::pair{a, b}, std::pair{b, a}}) {
+    uint32_t& count = root_adj_[from].GetOrInsert(to, 0);
+    count += static_cast<uint32_t>(delta);
+    if (count == 0) root_adj_[from].Erase(to);
+    inc_[from] += static_cast<uint64_t>(delta);
   }
-  return sign;
 }
 
 SupernodeId SluggerState::MergeRoots(SupernodeId a, SupernodeId b) {
@@ -77,20 +76,12 @@ SupernodeId SluggerState::MergeRoots(SupernodeId a, SupernodeId b) {
   SupernodeId m = summary_.Merge(a, b);
 
   // Extend per-supernode arrays to cover m.
-  root_of_.push_back(m);
   h_.push_back(h_[a] + h_[b] + 2);
   inc_.push_back(inc_[a] + inc_[b] - between_ab);
   within_.push_back(within_[a] + within_[b] + between_ab);
   height_.push_back(std::max(height_[a], height_[b]) + 1);
   root_adj_.emplace_back();
   root_pos_.push_back(0);
-
-  // Union-find: m joins the merged tree and becomes its root label.
-  uint32_t dsu_id = dsu_.Add();
-  assert(dsu_id == m);
-  (void)dsu_id;
-  uint32_t rep = dsu_.Unite(dsu_.Unite(a, b), m);
-  root_of_[rep] = m;
 
   // Top band: a and b become children of m; their children drop out.
   band_root_.push_back(m);
@@ -179,6 +170,23 @@ bool SluggerState::ValidateAggregates() const {
       ok = false;
     }
   }
+  // Root adjacency: each root pair's inter-tree edge count, recomputed from
+  // the edges, must sit in both roots' maps, and nothing else may.
+  std::unordered_map<uint64_t, uint32_t> between;
+  summary_.ForEachEdge([&](SupernodeId x, SupernodeId y, EdgeSign) {
+    if (root_map[x] != root_map[y]) {
+      ++between[PairKey(root_map[x], root_map[y])];
+    }
+  });
+  uint64_t entries = 0;
+  for (SupernodeId s = 0; s < root_adj_.size(); ++s) {
+    root_adj_[s].ForEach([&](SupernodeId other, uint32_t count) {
+      ++entries;
+      auto it = between.find(PairKey(s, other));
+      if (it == between.end() || it->second != count) ok = false;
+    });
+  }
+  if (entries != 2 * between.size()) ok = false;
   for (SupernodeId s = 0; s < forest.capacity(); ++s) {
     if (!forest.IsAlive(s)) continue;
     const SupernodeId p = forest.Parent(s);

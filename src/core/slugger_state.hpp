@@ -6,8 +6,8 @@
 //   inc(R)      — Cost_P: p/n-edges incident to any supernode of R's tree
 //   within(R)   — edges with both endpoints inside R's tree
 //   between(R1,R2) — edges between the two trees (root adjacency)
-// plus root lookup (union-find), the top-band index the merge planner
-// classifies edges with, and per-root height for the Table-V bound.
+// plus the top-band index the merge planner classifies edges with, and
+// per-root height for the Table-V bound.
 #ifndef SLUGGER_CORE_SLUGGER_STATE_HPP_
 #define SLUGGER_CORE_SLUGGER_STATE_HPP_
 
@@ -15,28 +15,29 @@
 
 #include "graph/graph.hpp"
 #include "summary/summary_graph.hpp"
-#include "util/dsu.hpp"
 #include "util/flat_map.hpp"
 
 namespace slugger::core {
 
 using summary::SummaryGraph;
 
-/// Algorithm state: summary + aggregates, kept consistent through
-/// AddEdge / RemoveEdge / MergeRoots.
+/// Algorithm state: summary + aggregates, kept consistent through AddEdge
+/// and MergeRoots. The merge planner instead rewrites edges on summary()
+/// itself and books each group's net change through ShiftWithin and
+/// ShiftBetween once MergeRoots has folded the two roots.
 class SluggerState {
  public:
-  /// Initializes the trivial summary: singleton supernodes, P+ = E.
+  /// Initializes the trivial summary: singleton supernodes, P+ = E. The
+  /// root adjacency is built from the CSR rows, each map sized once.
   explicit SluggerState(const graph::Graph& g);
 
   const graph::Graph& input() const { return *input_; }
   SummaryGraph& summary() { return summary_; }
   const SummaryGraph& summary() const { return summary_; }
 
-  /// Root supernode containing s (near-O(1) amortized). Mutates the
-  /// union-find (path compression) — never call concurrently.
-  SupernodeId FindRoot(SupernodeId s) {
-    return root_of_[dsu_.Find(s)];
+  /// Root supernode containing s (a walk up the parent links).
+  SupernodeId FindRoot(SupernodeId s) const {
+    return summary_.forest().Root(s);
   }
 
   /// Root of x if x is a root or a child of one (the re-encodable top band
@@ -62,40 +63,38 @@ class SluggerState {
     return v != nullptr ? *v : 0;
   }
 
-  /// Adjacent-root map of a root: neighbor root -> inter-tree edge count.
-  const FlatCountMap& RootAdjacency(SupernodeId root) const {
-    return root_adj_[root];
-  }
-
   /// Cost_A(G) = Cost_H + Cost_P for one root (paper Eq. 6).
   uint64_t RootCost(SupernodeId root) const { return h_[root] + inc_[root]; }
 
   /// Adds superedge {x, y} with aggregate maintenance.
   void AddEdge(SupernodeId x, SupernodeId y, EdgeSign sign);
 
-  /// Removes superedge {x, y}; returns its sign (0 if absent).
-  EdgeSign RemoveEdge(SupernodeId x, SupernodeId y);
+  /// Books `delta` edges inside root's tree: within(root) and inc(root).
+  void ShiftWithin(SupernodeId root, int64_t delta);
+
+  /// Books `delta` edges between the trees of distinct roots a and b:
+  /// between(a, b) on both sides (a pair that drops to zero leaves the
+  /// adjacency) and inc of each.
+  void ShiftBetween(SupernodeId a, SupernodeId b, int64_t delta);
 
   /// Creates M = a ∪ b over roots a and b and folds aggregates; returns M.
-  /// Does not touch p/n-edges (the merge planner applies those deltas).
+  /// Does not touch p/n-edges: it folds a's and b's aggregates as they
+  /// stand, and a caller that rewrites edges around the merge books their
+  /// net change on M with ShiftWithin / ShiftBetween.
   SupernodeId MergeRoots(SupernodeId a, SupernodeId b);
 
   /// Sum of RootCost over all roots minus double-counted inter-tree edges:
   /// equals Cost(G) (used by tests to validate the aggregates).
   uint64_t TotalCostFromAggregates() const;
 
-  /// Exhaustive consistency check of aggregates and of the top-band index
-  /// (tests only; slow).
+  /// Exhaustive consistency check of aggregates, of the root adjacency
+  /// and of the top-band index (tests only; slow).
   bool ValidateAggregates() const;
 
  private:
-  void RootAdjAdd(SupernodeId ra, SupernodeId rb, int delta);
-
   const graph::Graph* input_;
   SupernodeId max_supernodes_ = 0;
   SummaryGraph summary_;
-  Dsu dsu_;                          // over supernode ids, tracks trees
-  std::vector<SupernodeId> root_of_; // dsu representative -> root id
   std::vector<SupernodeId> band_root_;  // see BandRoot
   std::vector<SupernodeId> roots_;
   std::vector<uint32_t> root_pos_;   // root id -> index in roots_

@@ -47,6 +47,14 @@ class FlatMap32 {
     size_ = 0;
   }
 
+  /// Allocates, once, the capacity that n inserts into an empty map would
+  /// grow it to; a map that already holds that much is left as it is.
+  void Reserve(size_t n) {
+    size_t cap = 8;
+    while (n * 4 > cap * 3) cap *= 2;
+    if (n != 0 && cap > capacity()) Rehash(cap);
+  }
+
   /// Inserts or overwrites; returns true if the key was newly inserted.
   bool Put(uint32_t key, V value) {
     assert(key != kEmpty);
@@ -163,8 +171,9 @@ class FlatMap32 {
     return static_cast<size_t>(Mix64(key)) & mask_;
   }
 
-  void Grow() {
-    size_t new_cap = slots_.empty() ? 8 : slots_.size() * 2;
+  void Grow() { Rehash(slots_.empty() ? 8 : slots_.size() * 2); }
+
+  void Rehash(size_t new_cap) {
     std::vector<Slot> old = std::move(slots_);
     slots_.assign(new_cap, Slot{kEmpty, V{}});
     mask_ = new_cap - 1;

@@ -66,6 +66,23 @@ TEST(SluggerState, MergeFoldsAggregates) {
   EXPECT_TRUE(state.ValidateAggregates());
 }
 
+TEST(SluggerState, ValidateAggregatesChecksRootAdjacency) {
+  // Moving one inter-tree edge count from (0, 2) and (1, 3) to (0, 1) and
+  // (2, 3) leaves every inc, within and h as it was; only the root pair
+  // counts can tell.
+  graph::Graph g = graph::Graph::FromEdges(4, {{0, 2}, {1, 3}});
+  SluggerState state(g);
+  ASSERT_TRUE(state.ValidateAggregates());
+  state.ShiftBetween(0, 1, +1);
+  state.ShiftBetween(2, 3, +1);
+  state.ShiftBetween(0, 2, -1);
+  state.ShiftBetween(1, 3, -1);
+  EXPECT_EQ(state.TotalCostFromAggregates(), state.summary().Cost());
+  EXPECT_EQ(state.Between(0, 2), 0u);
+  EXPECT_EQ(state.Between(0, 1), 1u);
+  EXPECT_FALSE(state.ValidateAggregates());
+}
+
 TEST(SluggerState, EdgeOpsKeepAggregatesConsistent) {
   graph::Graph g = gen::ErdosRenyi(60, 240, 4);
   SluggerState state(g);
@@ -362,6 +379,118 @@ TEST(MergePlanner, EpochWrapKeepsScansExact) {
 }
 
 // ---------------------------------------------------------- candidates
+/// The four graphs of Driver.OutputFingerprintsArePinned.
+std::vector<graph::Graph> PinnedGraphs() {
+  gen::PlantedHierarchyOptions planted;
+  planted.branching = 3;
+  planted.depth = 3;
+  planted.leaf_size = 8;
+  std::vector<graph::Graph> graphs;
+  graphs.push_back(gen::RMat(12, 4 * 4096, 0.57, 0.19, 0.19, 7));
+  graphs.push_back(gen::ErdosRenyi(2000, 8000, 3));
+  graphs.push_back(gen::Caveman(40, 16, 0.1, 5));
+  graphs.push_back(gen::PlantedHierarchy(planted, 3));
+  return graphs;
+}
+
+TEST(CandidateGeneration, FirstRoundPairsSaveLessThanHalf) {
+  // The engine skips its first round (θ = 1/2, nothing merged yet) on the
+  // claim that no leaf pair saves half its cost. Check it on every pair of
+  // every first-round group, plus K₂,₅₀₀, whose two twins share 500
+  // neighbours and come closest: 498/1000.
+  std::vector<graph::Graph> graphs = PinnedGraphs();
+  std::vector<Edge> k2;
+  for (NodeId c = 2; c < 502; ++c) {
+    k2.emplace_back(0, c);
+    k2.emplace_back(1, c);
+  }
+  graphs.push_back(graph::Graph::FromEdges(502, k2));
+  for (size_t gi = 0; gi < graphs.size(); ++gi) {
+    const graph::Graph& g = graphs[gi];
+    SluggerState state(g);
+    MemoTable memo;
+    MergePlanner planner(&state, &memo);
+    CandidateGenerator generator(g, 7, 500, 10);
+    MergePlan plan;
+    uint64_t pairs = 0;
+    for (const std::vector<SupernodeId>& q : generator.Generate(state, 1)) {
+      for (size_t i = 0; i < q.size(); ++i) {
+        for (size_t j = i + 1; j < q.size(); ++j) {
+          planner.EvaluateInto(q[i], q[j], &plan);
+          ASSERT_LT(plan.saving, 0.5) << "graph " << gi;
+          ASSERT_LT(plan.saving_bound, 0.5) << "graph " << gi;
+          ++pairs;
+        }
+      }
+    }
+    EXPECT_GT(pairs, 0u) << "graph " << gi;
+  }
+  SluggerState twins(graphs.back());
+  MemoTable memo;
+  MergePlanner planner(&twins, &memo);
+  const MergePlan plan = planner.Evaluate(0, 1);
+  EXPECT_DOUBLE_EQ(plan.saving_bound, 0.498);
+  EXPECT_DOUBLE_EQ(plan.saving, 0.498);
+}
+
+TEST(CandidateGeneration, SortByShingleMatchesStdSort) {
+  // Candidate groups are the runs of equal shingle in (shingle, root)
+  // order: runs of 2 to max_group_size roots are emitted in order, larger
+  // ones go to re-division, and single roots drop out. The bucketed sort
+  // must hand that split exactly what std::sort does.
+  constexpr size_t kMaxGroup = 500;
+  struct Split {
+    std::vector<std::vector<SupernodeId>> groups;
+    std::vector<std::vector<SupernodeId>> oversized;
+  };
+  const auto split = [](const std::vector<KeyedRoot>& sorted) {
+    Split out;
+    for (size_t i = 0, j; i < sorted.size(); i = j) {
+      for (j = i + 1; j < sorted.size() && sorted[j].first == sorted[i].first;
+           ++j) {
+      }
+      if (j - i < 2) continue;
+      std::vector<SupernodeId> run;
+      for (size_t k = i; k < j; ++k) run.push_back(sorted[k].second);
+      (j - i <= kMaxGroup ? out.groups : out.oversized).push_back(run);
+    }
+    return out;
+  };
+  Rng rng(41);
+  std::vector<KeyedRoot> scratch;
+  std::vector<uint32_t> bucket_end;
+  for (size_t n : {0, 1, 2, 3, 17, 1000, 5000, 40000}) {
+    // Shingles drawn from a small pool (heavy ties, many runs of one),
+    // with keys at and just below 2^64 and one run above the size cap.
+    std::vector<uint64_t> pool;
+    for (size_t i = 0; i < n / 4 + 1; ++i) pool.push_back(rng.Next());
+    pool.push_back(~0ull);
+    pool.push_back(~0ull - 1);
+    pool.push_back(0);
+    std::vector<KeyedRoot> keyed;
+    std::vector<SupernodeId> ids(n);
+    for (size_t i = 0; i < n; ++i) ids[i] = static_cast<SupernodeId>(i);
+    rng.Shuffle(ids);
+    for (size_t i = 0; i < n; ++i) {
+      const bool big_run = n >= 5000 && i < kMaxGroup + 100;
+      keyed.emplace_back(big_run ? pool[0] : pool[rng.Below(pool.size())],
+                         ids[i]);
+    }
+    rng.Shuffle(keyed);
+    std::vector<KeyedRoot> want = keyed;
+    std::sort(want.begin(), want.end());
+    SortByShingle(&keyed, &scratch, &bucket_end);
+    ASSERT_EQ(keyed, want) << "n " << n;
+    const Split got_split = split(keyed);
+    const Split want_split = split(want);
+    EXPECT_EQ(got_split.groups, want_split.groups) << "n " << n;
+    EXPECT_EQ(got_split.oversized, want_split.oversized) << "n " << n;
+    if (n >= 5000) {
+      EXPECT_FALSE(got_split.oversized.empty()) << "n " << n;
+    }
+  }
+}
+
 TEST(CandidateGeneration, GroupsRespectSizeCap) {
   graph::Graph g = gen::Caveman(10, 30, 0.05, 2);
   SluggerState state(g);
@@ -561,16 +690,7 @@ TEST(Driver, OutputFingerprintsArePinned) {
   // every value; a change that alters outputs on purpose refreshes them.
   // `bounded` (partners the saving bound cut) pins the bound's strength:
   // a looser bound fails here; a tighter one refreshes it.
-  gen::PlantedHierarchyOptions planted;
-  planted.branching = 3;
-  planted.depth = 3;
-  planted.leaf_size = 8;
-  const graph::Graph graphs[] = {
-      gen::RMat(12, 4 * 4096, 0.57, 0.19, 0.19, 7),
-      gen::ErdosRenyi(2000, 8000, 3),
-      gen::Caveman(40, 16, 0.1, 5),
-      gen::PlantedHierarchy(planted, 3),
-  };
+  const std::vector<graph::Graph> graphs = PinnedGraphs();
   struct Pin {
     size_t graph;
     uint32_t max_height;
@@ -614,6 +734,63 @@ TEST(Driver, OutputFingerprintsArePinned) {
     EXPECT_EQ(r.evaluations, pin.evaluations);
     EXPECT_EQ(r.bounded, pin.bounded);
     EXPECT_EQ(Fnv1a(summary::SerializeSummary(r.summary)), pin.hash);
+  }
+}
+
+TEST(Driver, SkippedFirstRoundBooksWhatItsScansWould) {
+  // The first round (θ = 1/2, nothing merged yet) is skipped, but it still
+  // books every pair of every group as evaluated and every pair the bound
+  // cuts as bounded. Stop each run after that round and compare with
+  // scanning the same groups. Zero shingle levels divide the roots at
+  // random, so isolated nodes share groups and their pairs (valid, saving
+  // −∞, so not bounded) are counted too.
+  const graph::Graph g = gen::ErdosRenyi(400, 300, 9);
+  for (uint32_t levels : {0u, 10u}) {
+    for (uint32_t threads : {1u, 2u}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "levels " << levels << " threads " << threads);
+      SluggerConfig config;
+      config.iterations = 10;
+      config.seed = 5;
+      config.max_group_size = 32;
+      config.shingle_levels = levels;
+      config.num_threads = threads;
+      CancelToken stop;
+      SummarizeHooks hooks;
+      hooks.cancel = &stop;
+      hooks.progress = [&](const ProgressEvent& e) {
+        if (e.iteration == 1) stop.Cancel();
+      };
+      const SluggerResult r = Summarize(g, config, hooks);
+      ASSERT_EQ(r.iterations_completed, 1u);
+      ASSERT_EQ(r.merges, 0u);
+
+      SluggerState state(g);
+      MemoTable memo;
+      MergePlanner planner(&state, &memo);
+      CandidateGenerator generator(g, config.seed, config.max_group_size,
+                                   config.shingle_levels);
+      const double theta = MergingThreshold(1, config.iterations);
+      MergePlan plan;
+      uint64_t evaluations = 0;
+      uint64_t bounded = 0;
+      for (const std::vector<SupernodeId>& q : generator.Generate(state, 1)) {
+        for (size_t i = 0; i < q.size(); ++i) {
+          planner.BeginScan(q[i]);
+          for (size_t j = i + 1; j < q.size(); ++j) {
+            planner.EvaluatePartner(
+                q[j], theta, -std::numeric_limits<double>::infinity(), &plan);
+            ++evaluations;
+            bounded += !plan.valid;
+          }
+        }
+      }
+      EXPECT_EQ(r.evaluations, evaluations);
+      EXPECT_EQ(r.bounded, bounded);
+      if (levels == 0) {
+        EXPECT_LT(bounded, evaluations);  // edgeless pairs share groups
+      }
+    }
   }
 }
 
