@@ -11,7 +11,7 @@
 #include "gen/generators.hpp"
 #include "summary/neighbor_query.hpp"
 #include "util/dsu.hpp"
-#include "util/flat_map.hpp"
+#include "util/signed_edge_list.hpp"
 #include "util/timer.hpp"
 
 namespace {
@@ -33,16 +33,31 @@ const graph::Graph& BenchGraph() {
   return *g;
 }
 
-void BM_FlatMapPutFind(benchmark::State& state) {
-  FlatMap32<int8_t> map;
-  uint32_t i = 0;
+void BM_SignedEdgeListChurn(benchmark::State& state) {
+  // The summary's superedge store under merge churn: per round, a list of
+  // four entries grows past the index threshold, is walked, and shrinks
+  // back (erasing from the middle, so entries move), as a supernode whose
+  // edges move up to a new parent does.
+  constexpr uint32_t kBase = 4;
+  constexpr uint32_t kPeak = 4 * SignedEdgeList::kLinearMax;
+  SignedEdgeList list;
+  for (uint32_t id = 0; id < kBase; ++id) list.Add(id * 7919, +1);
   for (auto _ : state) {
-    map.Put(i & 1023, 1);
-    benchmark::DoNotOptimize(map.Find((i * 7) & 1023));
-    ++i;
+    for (uint32_t i = 0; i < kPeak; ++i) {
+      list.Add(100000 + i * 7919, i % 8 == 0 ? -1 : +1);
+    }
+    int64_t sum = 0;
+    list.ForEach([&](uint32_t other, EdgeSign sign) {
+      sum += static_cast<int64_t>(other) * sign;
+    });
+    benchmark::DoNotOptimize(sum);
+    for (uint32_t i = 0; i < kPeak; ++i) {
+      list.Erase(100000 + (i * 37 % kPeak) * 7919);
+    }
   }
+  state.SetItemsProcessed(state.iterations() * 2 * kPeak);
 }
-BENCHMARK(BM_FlatMapPutFind);
+BENCHMARK(BM_SignedEdgeListChurn);
 
 void BM_DsuFind(benchmark::State& state) {
   Dsu dsu(100000);

@@ -67,6 +67,10 @@ constexpr uint32_t kEdgeMask = kNegative - 1;
 
 uint32_t TallyOf(EdgeSign sign) { return sign < 0 ? 1 + kNegative : 1; }
 
+/// Tally of a group that is a single n-edge: it may cancel against one
+/// edge from the partner, so PartnerBound grants it one more.
+constexpr uint32_t kLoneNegative = 1 + kNegative;
+
 /// Most edges a rewrite of a group with tally t removes net. A group with
 /// an n-edge may cancel to an empty encoding. A group without one has a
 /// nonzero target on some active class (each legal slot covers one and
@@ -111,6 +115,7 @@ void MergePlanner::BeginScan(SupernodeId a) {
   scan_edges_.clear();
   scan_within_ = 0;
   scan_gain_ = 0;
+  scan_lone_n_ = 0;
   for (uint8_t f_local = kA; f_local <= kA2; ++f_local) {
     SupernodeId f = scan_family_[f_local - kA];
     if (f == kInvalidId) continue;
@@ -131,10 +136,44 @@ void MergePlanner::BeginScan(SupernodeId a) {
         const uint32_t before = slot.tally;
         slot.tally += TallyOf(sign);
         scan_gain_ += BucketGain(slot.tally) - BucketGain(before);
+        scan_lone_n_ += slot.tally == kLoneNegative;
+        scan_lone_n_ -= before == kLoneNegative;
       }
       scan_edges_.push_back({other, band, f_local, o_local, sign});
     });
   }
+}
+
+uint64_t MergePlanner::CostBefore(SupernodeId z) const {
+  const SupernodeId a = scan_root_;
+  return state_->HCost(a) + state_->HCost(z) + state_->IncCost(a) +
+         state_->IncCost(z) - state_->Between(a, z);
+}
+
+double MergePlanner::PartnerBound(SupernodeId z) const {
+  assert(scan_root_ != kInvalidId && "BeginScan first");
+  assert(z != scan_root_);
+  const uint64_t cost_before = CostBefore(z);
+  if (cost_before == 0) return std::numeric_limits<double>::infinity();
+  // EvaluatePartner's bound starts from the same a-side gain, then adds z's
+  // edges one group at a time. A group's gain rises by at most the z-side
+  // edges it receives, plus one if z brings its first n-edge (an n-edge of
+  // z counts twice below), plus one if a's side of the group is a single
+  // n-edge (a lone edge has no bucket of its own, yet with a partner edge
+  // it may cancel to nothing). Every z-side edge sits in the edge list of
+  // z or of one of its children.
+  const uint32_t a_into_z = TallyInto(z);
+  uint64_t rewritable = GroupGain(scan_within_ + a_into_z) + scan_gain_ -
+                        BucketGain(a_into_z) + scan_lone_n_;
+  const SummaryGraph& summary = state_->summary();
+  const auto count = [&](SupernodeId f) {
+    rewritable += summary.EdgeCountOf(f) + summary.NegativeCountOf(f);
+  };
+  count(z);
+  for (SupernodeId kid : summary.forest().Children(z)) count(kid);
+  const uint64_t after =
+      rewritable < cost_before + 2 ? cost_before + 2 - rewritable : 0;
+  return SavingOf(after, cost_before);
 }
 
 void MergePlanner::EvaluateInto(SupernodeId a, SupernodeId b, MergePlan* plan) {
@@ -154,10 +193,7 @@ void MergePlanner::EvaluatePartner(SupernodeId z, double theta, double best,
   plan->Reset(a, z);
 
   // ---- Cost before the merge (denominator of Eq. 8). ----
-  const uint64_t h_before = state_->HCost(a) + state_->HCost(z);
-  const uint64_t p_before =
-      state_->IncCost(a) + state_->IncCost(z) - state_->Between(a, z);
-  plan->cost_before = h_before + p_before;
+  plan->cost_before = CostBefore(z);
   if (plan->cost_before == 0) {
     // Two edgeless singletons: nothing to re-encode, only two h-edges.
     plan->cost_after = 2;
@@ -183,7 +219,7 @@ void MergePlanner::EvaluatePartner(SupernodeId z, double theta, double best,
     return id == z ? kB : id == z_family[1] ? kB1 : kB2;
   };
   NextEpoch(&eval_epoch_, &RootSlot::stamp);
-  const uint32_t a_into_z = slots_[z].mark == epoch_ ? slots_[z].tally : 0;
+  const uint32_t a_into_z = TallyInto(z);
   uint32_t within = scan_within_ + a_into_z;
   uint64_t gain = scan_gain_ - BucketGain(a_into_z);
   partner_edges_.clear();
@@ -218,7 +254,8 @@ void MergePlanner::EvaluatePartner(SupernodeId z, double theta, double best,
   // No group's rewrite removes more than its gain net, so the same double
   // operations as the saving keep saving <= saving_bound exact.
   const uint64_t rewritable = GroupGain(within) + gain;
-  assert(rewritable <= p_before);
+  assert(rewritable + state_->HCost(a) + state_->HCost(z) <=
+         plan->cost_before);
   plan->saving_bound =
       SavingOf(plan->cost_before + 2 - rewritable, plan->cost_before);
   if (plan->saving_bound < theta || plan->saving_bound <= best) return;

@@ -13,6 +13,15 @@
 //     count and n-edges). It marks only the roots those edges reach, not
 //     A's whole root adjacency: a root no family edge reaches has a tally
 //     of zero.
+//   - PartnerBound(Z) bounds the saving from counts alone, before any
+//     edge of Z is read: A's tallies, and the sizes and n-edge counts of
+//     Z's family's edge lists. A group's rewrite gain rises by at most the
+//     Z-side edges it receives, plus one if Z brings the group's first
+//     n-edge, plus one if A's side of the group is a single n-edge. The
+//     scan cuts a partner whose PartnerBound is below θ or not above the
+//     best saving so far, and books it as evaluated and bounded; it is
+//     never below the exact bound below, so EvaluatePartner would have cut
+//     it too.
 //   - EvaluatePartner(Z) walks only Z's family, adds its edges to the
 //     tallies, and bounds the saving before any bucket is built or solved.
 //     A group is the within-family edges, or the cross edges of one
@@ -101,6 +110,12 @@ class MergePlanner {
   /// a's family once for EvaluatePartner, marking the roots they reach.
   void BeginScan(SupernodeId a);
 
+  /// Upper bound on the saving_bound that EvaluatePartner(z, ...) would
+  /// report for the scan root and root z, from counts alone: no edge of z
+  /// is read. +∞ for an edgeless pair (cost_before == 0), which is then
+  /// evaluated in full. Read-only, like EvaluatePartner.
+  double PartnerBound(SupernodeId z) const;
+
   /// Computes the plan for merging the scan root with root z into *plan.
   /// If plan->saving_bound shows the saving is below theta or not above
   /// best, the plan is left invalid without building a bucket or solving
@@ -160,6 +175,16 @@ class MergePlanner {
   /// stamp from 2^32 epochs ago can read as current.
   void NextEpoch(uint32_t* epoch, uint32_t RootSlot::*field);
 
+  /// Cost_{A}(Ĝ) + Cost_{Z}(Ĝ) of the scan root and z: the denominator of
+  /// Eq. 8.
+  uint64_t CostBefore(SupernodeId z) const;
+
+  /// The scan root's tally into z's band (its edges that become
+  /// within-family once a and z merge).
+  uint32_t TallyInto(SupernodeId z) const {
+    return slots_[z].mark == epoch_ ? slots_[z].tally : 0;
+  }
+
   SluggerState* state_;
   MemoTable* memo_;
   std::vector<RootSlot> slots_;
@@ -173,6 +198,7 @@ class MergePlanner {
   std::vector<ScanEdge> scan_edges_;
   uint32_t scan_within_ = 0;  // tally of the scan root's within edges
   uint64_t scan_gain_ = 0;    // bucket gain of the scan root's tallies
+  uint32_t scan_lone_n_ = 0;  // bands whose tally is one n-edge alone
 
   // Evaluate scratch.
   uint32_t eval_epoch_ = 0;

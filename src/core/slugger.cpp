@@ -65,7 +65,10 @@ struct ScanCounts {
 /// below theta can never be committed, and one whose bound is not above
 /// the best saving so far cannot replace it (only a strictly larger saving
 /// does). So the first partner to reach the maximum saving, the one this
-/// loop commits when that maximum is >= theta, is never cut.
+/// loop commits when that maximum is >= theta, is never cut. The
+/// count-only PartnerBound is never below the exact bound, so a partner it
+/// cuts is one EvaluatePartner would cut too, and it is booked the same
+/// way: evaluated and bounded.
 size_t ScanPartners(const SluggerState& state, MergePlanner& planner,
                     const std::vector<SupernodeId>& q, SupernodeId a,
                     double theta, uint32_t height_bound, MergePlan* plan,
@@ -80,8 +83,13 @@ size_t ScanPartners(const SluggerState& state, MergePlanner& planner,
         std::max(state.Height(a), state.Height(z)) + 1 > height_bound) {
       continue;  // Table V height-bounded variant
     }
-    planner.EvaluatePartner(z, theta, best->saving, plan);
     ++counts->evaluations;
+    const double bound = planner.PartnerBound(z);
+    if (bound < theta || bound <= best->saving) {
+      ++counts->bounded;
+      continue;
+    }
+    planner.EvaluatePartner(z, theta, best->saving, plan);
     if (!plan->valid) {
       ++counts->bounded;
     } else if (plan->saving > best->saving) {

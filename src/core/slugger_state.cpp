@@ -9,7 +9,7 @@
 namespace slugger::core {
 
 SluggerState::SluggerState(const graph::Graph& g)
-    : input_(&g), summary_(g.num_nodes()) {
+    : input_(&g), summary_(g) {
   const NodeId n = g.num_nodes();
   // n leaves plus at most n - 1 merged supernodes.
   max_supernodes_ = n == 0 ? 0 : 2 * n - 1;
@@ -33,9 +33,6 @@ SluggerState::SluggerState(const graph::Graph& g)
     inc_[u] = neighbors.size();
     root_adj_[u].Reserve(neighbors.size());
     for (NodeId v : neighbors) root_adj_[u].Put(v, 1);
-  }
-  for (const Edge& e : g.Edges()) {
-    summary_.AddEdge(e.first, e.second, +1);
   }
 }
 

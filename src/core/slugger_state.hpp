@@ -28,7 +28,8 @@ using summary::SummaryGraph;
 class SluggerState {
  public:
   /// Initializes the trivial summary: singleton supernodes, P+ = E. The
-  /// root adjacency is built from the CSR rows, each map sized once.
+  /// summary's edge lists and the root adjacency are built from the CSR
+  /// rows, each list and map sized once.
   explicit SluggerState(const graph::Graph& g);
 
   const graph::Graph& input() const { return *input_; }

@@ -6,8 +6,9 @@
 #include <cstdint>
 #include <vector>
 
+#include "graph/graph.hpp"
 #include "summary/hierarchy_forest.hpp"
-#include "util/flat_map.hpp"
+#include "util/signed_edge_list.hpp"
 #include "util/types.hpp"
 
 namespace slugger::summary {
@@ -20,9 +21,22 @@ namespace slugger::summary {
 /// non-nested supernode pairs (self-loops allowed); every encoding SLUGGER
 /// produces obeys the restriction, and it keeps partial decompression
 /// (Algorithm 4) exact with a single ancestor walk.
+///
+/// Each supernode's superedges sit in one SignedEdgeList: a packed block
+/// that holds exactly its live edges, so a scan over a supernode reads no
+/// empty slot, and that counts its n-edges (NegativeCountOf). The order in
+/// which ForEachEdgeOf and ForEachEdge report edges is unspecified and
+/// changes as edges come and go; no output of the library depends on it
+/// (merge and prune decisions sum over groups of edges, and serialization
+/// sorts).
 class SummaryGraph {
  public:
   explicit SummaryGraph(NodeId num_leaves = 0);
+
+  /// The trivial summary of g: its nodes as singleton leaves, P+ = E, P- and
+  /// H empty (paper Alg. 1, lines 1-4). Each leaf's list is its CSR row,
+  /// allocated once at its degree, with no lookups (g is simple).
+  explicit SummaryGraph(const graph::Graph& g);
 
   const HierarchyForest& forest() const { return forest_; }
   HierarchyForest& forest() { return forest_; }
@@ -49,14 +63,20 @@ class SummaryGraph {
   /// Number of p/n-edges incident to s (self-loop counts once).
   size_t EdgeCountOf(SupernodeId s) const { return adj_[s].size(); }
 
-  /// Invokes fn(other, sign) for each superedge incident to s; a self-loop
-  /// reports other == s.
+  /// Number of n-edges incident to s (self-loop counts once).
+  size_t NegativeCountOf(SupernodeId s) const {
+    return adj_[s].negative_count();
+  }
+
+  /// Invokes fn(other, sign) for each superedge incident to s, in
+  /// unspecified order; a self-loop reports other == s.
   template <typename Fn>
   void ForEachEdgeOf(SupernodeId s, Fn&& fn) const {
     adj_[s].ForEach(fn);
   }
 
-  /// Invokes fn(a, b, sign) once per superedge (a <= b).
+  /// Invokes fn(a, b, sign) once per superedge (a <= b), in unspecified
+  /// order.
   template <typename Fn>
   void ForEachEdge(Fn&& fn) const {
     for (SupernodeId a = 0; a < static_cast<SupernodeId>(adj_.size()); ++a) {
@@ -93,16 +113,9 @@ class SummaryGraph {
     adj_.reserve(total);
   }
 
-  /// Initializes the summary to represent graph edges verbatim:
-  /// P+ = {({u},{v})}, P- = {}, H = {} (paper Alg. 1, lines 1-4).
-  template <typename EdgeRange>
-  void InitFromEdges(const EdgeRange& edges) {
-    for (const auto& e : edges) AddEdge(e.first, e.second, +1);
-  }
-
  private:
   HierarchyForest forest_;
-  std::vector<FlatSignedMap> adj_;
+  std::vector<SignedEdgeList> adj_;
   uint64_t p_count_ = 0;
   uint64_t n_count_ = 0;
 };

@@ -1,9 +1,11 @@
 // Open-addressing hash maps specialized for the hot paths of the library.
 //
-// FlatSignedMap maps uint32 keys to a small signed payload (int8 / int32)
-// with linear probing, power-of-two capacity and backward-shift deletion.
+// FlatMap32 maps uint32 keys to a small trivially copyable payload with
+// linear probing, power-of-two capacity and backward-shift deletion.
 // Compared to std::unordered_map it avoids per-node allocations, which
-// dominate the superedge store of a summary under heavy merge churn.
+// dominate the root adjacency of the merge phase under heavy merge churn.
+// (A summary's superedges live in util/signed_edge_list.hpp instead: a map
+// never shrinks, so scans would probe the slots its moved edges left.)
 #ifndef SLUGGER_UTIL_FLAT_MAP_HPP_
 #define SLUGGER_UTIL_FLAT_MAP_HPP_
 
@@ -187,9 +189,6 @@ class FlatMap32 {
   size_t mask_ = 0;
   size_t size_ = 0;
 };
-
-/// Signed superedge adjacency: neighbor supernode id -> sign (+1 / -1).
-using FlatSignedMap = FlatMap32<int8_t>;
 
 /// Root adjacency: neighbor root id -> number of superedges between trees.
 using FlatCountMap = FlatMap32<uint32_t>;

@@ -46,8 +46,7 @@ TEST(Fuzz, DeserializeMutatedValidBuffer) {
   // Start from a valid buffer and apply random mutations; every outcome
   // must be either a clean error or a structurally valid summary.
   graph::Graph g = gen::Caveman(3, 6, 0.1, 1);
-  summary::SummaryGraph s(g.num_nodes());
-  s.InitFromEdges(g.Edges());
+  summary::SummaryGraph s(g);
   s.Merge(0, 1);
   std::string base = summary::SerializeSummary(s);
 

@@ -317,6 +317,91 @@ TEST(MergePlanner, BoundedScanPicksWhatFullEvaluationPicks) {
   }
 }
 
+// Forward declaration: the four graphs of Driver.OutputFingerprintsArePinned.
+std::vector<graph::Graph> PinnedGraphs();
+
+TEST(MergePlanner, PartnerBoundNeverBelowTheExactBound) {
+  // The scan cuts partners by PartnerBound before EvaluatePartner reads
+  // any of their edges, which keeps every pick exact only if it is never
+  // below the saving_bound a full evaluation reports.
+  constexpr double kNoCut = -std::numeric_limits<double>::infinity();
+  std::vector<graph::Graph> graphs = PlannerPropertyGraphs();
+  for (graph::Graph& g : PinnedGraphs()) graphs.push_back(std::move(g));
+  for (size_t gi = 0; gi < graphs.size(); ++gi) {
+    uint64_t checked = 0;
+    uint64_t cut_at_half = 0;  // partners the bound alone rules out at θ 1/2
+    MergePlan plan;
+    DriveGreedyMerges(graphs[gi], 6, [&](const SluggerState&,
+                                         MergePlanner& planner, SupernodeId a,
+                                         const std::vector<SupernodeId>& q) {
+      planner.BeginScan(a);
+      for (SupernodeId z : q) {
+        const double bound = planner.PartnerBound(z);
+        planner.EvaluatePartner(z, kNoCut, kNoCut, &plan);
+        ASSERT_GE(bound, plan.saving_bound)
+            << "graph " << gi << ": " << a << " + " << z;
+        cut_at_half += bound < 0.5;
+        ++checked;
+      }
+    });
+    EXPECT_GT(checked, 1000u) << "graph " << gi;
+    EXPECT_GT(cut_at_half, 0u) << "graph " << gi;
+  }
+}
+
+/// Leaves a = 0 and z = 1 beside the root c = {2, 3}, with no superedges
+/// yet; Bounds() scans a and reports PartnerBound(z) and the plan
+/// EvaluatePartner(z) makes.
+struct BandFixture {
+  graph::Graph g = graph::Graph::FromEdges(4, {});
+  SluggerState state{g};
+  SupernodeId c = state.MergeRoots(2, 3);
+
+  std::pair<double, MergePlan> Bounds() {
+    EXPECT_TRUE(state.ValidateAggregates());
+    MemoTable memo;
+    MergePlanner planner(&state, &memo);
+    constexpr double kNoCut = -std::numeric_limits<double>::infinity();
+    MergePlan plan;
+    planner.BeginScan(0);
+    const double bound = planner.PartnerBound(1);
+    planner.EvaluatePartner(1, kNoCut, kNoCut, &plan);
+    return {bound, plan};
+  }
+};
+
+TEST(MergePlanner, PartnerBoundCoversALoneNegativeBand) {
+  // a's only edge is (a, c)-, z's only edge (z, c)+. Together they may
+  // cancel to nothing, so both bounds allow 2 rewritable edges of a cost
+  // of 2. z brings one edge; a's lone n-edge, which has no bucket of its
+  // own, is the second.
+  BandFixture f;
+  f.state.AddEdge(0, f.c, -1);
+  f.state.AddEdge(1, f.c, +1);
+  const auto [bound, plan] = f.Bounds();
+  ASSERT_TRUE(plan.valid);
+  EXPECT_EQ(plan.cost_before, 2u);
+  EXPECT_DOUBLE_EQ(plan.saving_bound, 0.0);  // 1 - (2 + 2 - 2) / 2
+  EXPECT_EQ(bound, plan.saving_bound);
+}
+
+TEST(MergePlanner, PartnerBoundCoversAPartnersFirstNegative) {
+  // a has (a, c)+ and (a, 2)+, both into c's band; z has (z, c)-. a's
+  // bucket alone keeps an edge (gain 1); with z's n-edge all three may
+  // cancel (gain 3), so both bounds allow 3 rewritable edges of a cost of
+  // 3. z's edge is one; the first n-edge it brings to the group is the
+  // third.
+  BandFixture f;
+  f.state.AddEdge(0, f.c, +1);
+  f.state.AddEdge(0, 2, +1);
+  f.state.AddEdge(1, f.c, -1);
+  const auto [bound, plan] = f.Bounds();
+  ASSERT_TRUE(plan.valid);
+  EXPECT_EQ(plan.cost_before, 3u);
+  EXPECT_DOUBLE_EQ(plan.saving_bound, 1.0 / 3.0);  // 1 - (3 + 2 - 3) / 3
+  EXPECT_EQ(bound, plan.saving_bound);
+}
+
 TEST(MergePlanner, CancellingGroupsKeepTheirFullCountInTheBound) {
   // a = {0, 1} carries (a, 2)+ with the n-edges (0, 2) and (1, 2): the
   // three edges cancel, so their best encoding is empty. As a cross bucket
@@ -604,12 +689,10 @@ TEST(Pruning, Step2SignCancellation) {
 TEST(Pruning, Step3FlattensWhenCheaper) {
   // A wasteful hierarchical encoding of a single edge collapses to flat.
   graph::Graph g = graph::Graph::FromEdges(4, {{0, 2}, {1, 2}, {0, 3}, {1, 3}});
-  summary::SummaryGraph s(4);
   // Encode each edge separately but hang 0,1 under a pointless supernode
   // that carries a self-loop-free structure the flat model beats.
-  s.InitFromEdges(g.Edges());
-  summary::SummaryGraph flat_ref(4);
-  flat_ref.InitFromEdges(g.Edges());
+  summary::SummaryGraph s(g);
+  summary::SummaryGraph flat_ref(g);
   SupernodeId m = s.Merge(0, 1);
   // Re-encode {0,1} x {2}: single edge (m, 2); same for {3}.
   s.RemoveEdge(0, 2);

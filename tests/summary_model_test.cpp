@@ -12,6 +12,7 @@
 #include "summary/stats.hpp"
 #include "summary/summary_graph.hpp"
 #include "summary/verify.hpp"
+#include "util/random.hpp"
 
 namespace slugger::summary {
 namespace {
@@ -147,11 +148,74 @@ TEST(SummaryGraph, CostIsSumOfComponents) {
   EXPECT_EQ(s.Cost(), 1u + 1u + 2u);  // one p, one n, two h-edges
 }
 
+TEST(SummaryGraph, EdgeCountsMatchARecountUnderChurn) {
+  // Random AddEdge / RemoveEdge churn over leaves, two merged supernodes
+  // and self-loops, with a few hubs whose lists cross the index threshold
+  // both ways. After every step, each supernode's edge and n-edge counts,
+  // and p_count and n_count, must equal a recount from ForEachEdge, in
+  // which a self-loop counts once.
+  SummaryGraph s(40);
+  std::vector<SupernodeId> nodes = {s.Merge(0, 1), s.Merge(2, 3)};
+  for (SupernodeId leaf = 4; leaf < 40; ++leaf) nodes.push_back(leaf);
+  Rng rng(31);
+  const SupernodeId cap = s.forest().capacity();
+  for (int step = 0; step < 4000; ++step) {
+    // Half the edges touch one of four hubs.
+    const SupernodeId x = nodes[rng.Below(rng.Chance(0.5) ? 4 : nodes.size())];
+    const SupernodeId y = nodes[rng.Below(nodes.size())];
+    const EdgeSign present = s.GetSign(x, y);
+    const bool shrink = step % 1000 >= 600;  // every 1000 steps: 600 up
+    if (present != 0 && (shrink || rng.Chance(0.3))) {
+      ASSERT_EQ(s.RemoveEdge(y, x), present);
+    } else if (present == 0 && !shrink) {
+      ASSERT_TRUE(s.AddEdge(x, y, rng.Chance(0.25) ? -1 : +1));
+    }
+    std::vector<size_t> edges(cap, 0);
+    std::vector<size_t> negatives(cap, 0);
+    uint64_t p = 0;
+    uint64_t n = 0;
+    s.ForEachEdge([&](SupernodeId a, SupernodeId b, EdgeSign sign) {
+      ++edges[a];
+      negatives[a] += sign < 0;
+      if (a != b) {
+        ++edges[b];
+        negatives[b] += sign < 0;
+      }
+      ++(sign > 0 ? p : n);
+    });
+    ASSERT_EQ(s.p_count(), p) << "step " << step;
+    ASSERT_EQ(s.n_count(), n) << "step " << step;
+    for (SupernodeId v : nodes) {
+      ASSERT_EQ(s.EdgeCountOf(v), edges[v]) << "step " << step;
+      ASSERT_EQ(s.NegativeCountOf(v), negatives[v]) << "step " << step;
+    }
+  }
+}
+
+TEST(SummaryGraph, TrivialSummaryFromCsrMatchesEdgeByEdge) {
+  // A hub of degree 60 (past the index threshold) plus random edges.
+  std::vector<Edge> edges = gen::ErdosRenyi(120, 400, 8).Edges();
+  for (NodeId v = 1; v <= 60; ++v) edges.push_back(MakeEdge(0, v));
+  const graph::Graph g = graph::Graph::FromEdges(120, edges);
+  const SummaryGraph from_csr(g);
+  SummaryGraph edge_by_edge(g.num_nodes());
+  for (const Edge& e : g.Edges()) {
+    edge_by_edge.AddEdge(e.first, e.second, +1);
+  }
+  EXPECT_EQ(from_csr.p_count(), g.num_edges());
+  EXPECT_EQ(from_csr.n_count(), 0u);
+  EXPECT_EQ(SerializeSummary(from_csr), SerializeSummary(edge_by_edge));
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    EXPECT_EQ(from_csr.EdgeCountOf(u), g.Degree(u));
+    for (NodeId v : g.Neighbors(u)) EXPECT_EQ(from_csr.GetSign(u, v), 1);
+  }
+  EXPECT_EQ(Decode(from_csr), g);
+}
+
 // ----------------------------------------------------- decode semantics
 TEST(Decode, TrivialSummaryIsIdentity) {
   graph::Graph g = gen::ErdosRenyi(40, 100, 3);
-  SummaryGraph s(40);
-  s.InitFromEdges(g.Edges());
+  SummaryGraph s(g);
   EXPECT_EQ(Decode(s), g);
   EXPECT_TRUE(VerifyLossless(g, s).ok());
 }
@@ -239,8 +303,7 @@ TEST(NeighborQuery, MatchesDecodeOnRandomSummaries) {
     opt.pair_link_prob = 0.5;
     opt.pair_link_decay = 0.4;
     graph::Graph g = gen::PlantedHierarchy(opt, seed);
-    SummaryGraph s(g.num_nodes());
-    s.InitFromEdges(g.Edges());
+    SummaryGraph s(g);
     // Hand-merge a few sibling pairs with explicit encodings to create
     // hierarchy: merge nodes (2i, 2i+1) and re-encode nothing (identity).
     for (NodeId u = 0; u + 1 < 12; u += 2) s.Merge(u, u + 1);
@@ -294,8 +357,7 @@ TEST(Stats, CountsAndFractions) {
 // ------------------------------------------------------------ serialize
 TEST(Serialize, RoundTripPreservesSemantics) {
   graph::Graph g = gen::Caveman(4, 8, 0.1, 5);
-  SummaryGraph s(g.num_nodes());
-  s.InitFromEdges(g.Edges());
+  SummaryGraph s(g);
   SupernodeId m = s.Merge(0, 1);
   SupernodeId m2 = s.Merge(m, 2);
   s.AddEdge(m2, m2, -1);  // arbitrary extra structure
@@ -308,8 +370,7 @@ TEST(Serialize, RoundTripPreservesSemantics) {
 
 TEST(Serialize, RejectsCorruptedBuffers) {
   graph::Graph g = gen::ErdosRenyi(30, 60, 1);
-  SummaryGraph s(g.num_nodes());
-  s.InitFromEdges(g.Edges());
+  SummaryGraph s(g);
   s.Merge(0, 1);
   std::string buffer = SerializeSummary(s);
   // Flipping any single byte must never crash; most flips are detected.
@@ -335,8 +396,7 @@ TEST(Serialize, RejectsTruncation) {
 
 TEST(Serialize, FileRoundTrip) {
   graph::Graph g = gen::ErdosRenyi(30, 80, 2);
-  SummaryGraph s(g.num_nodes());
-  s.InitFromEdges(g.Edges());
+  SummaryGraph s(g);
   std::string path = "/tmp/slugger_summary_test.bin";
   ASSERT_TRUE(SaveSummary(s, path).ok());
   auto loaded = LoadSummary(path);

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <map>
 #include <set>
 #include <string>
@@ -11,6 +12,7 @@
 #include "util/flat_map.hpp"
 #include "util/hashing.hpp"
 #include "util/random.hpp"
+#include "util/signed_edge_list.hpp"
 #include "util/status.hpp"
 #include "util/timer.hpp"
 #include "util/varint.hpp"
@@ -179,6 +181,98 @@ TEST(FlatMap, SoftClearKeepsCapacity) {
   EXPECT_EQ(m.Find(3), nullptr);
   m.Put(3, 9);
   EXPECT_EQ(*m.Find(3), 9u);
+}
+
+// -------------------------------------------------------- SignedEdgeList
+/// Checks every observable of `list` against `ref`: the size, the n-edge
+/// count, Get of every id in `pool` (present or not), and that ForEach
+/// visits each entry exactly once, with its sign.
+void ExpectListMatches(const SignedEdgeList& list,
+                       const std::map<uint32_t, EdgeSign>& ref,
+                       const std::vector<uint32_t>& pool, int step) {
+  ASSERT_EQ(list.size(), ref.size()) << "step " << step;
+  uint32_t negatives = 0;
+  for (const auto& [id, sign] : ref) negatives += sign < 0;
+  ASSERT_EQ(list.negative_count(), negatives) << "step " << step;
+  for (uint32_t id : pool) {
+    const auto it = ref.find(id);
+    ASSERT_EQ(list.Get(id), it == ref.end() ? 0 : it->second)
+        << "step " << step << " id " << id;
+  }
+  std::map<uint32_t, EdgeSign> seen;
+  list.ForEach([&](uint32_t id, EdgeSign sign) {
+    EXPECT_TRUE(seen.emplace(id, sign).second) << "step " << step;
+  });
+  ASSERT_EQ(seen, ref) << "step " << step;
+}
+
+TEST(SignedEdgeList, MatchesStdMapAcrossTheIndexThreshold) {
+  // Randomized differential test against std::map. The churn drives the
+  // list through target sizes that cross the index threshold both ways:
+  // grow past it, shrink below it, grow again, empty it, grow again. The
+  // id pool holds 0 and kInvalidId - 1 (the largest supernode id) besides
+  // random ones.
+  Rng rng(23);
+  std::vector<uint32_t> pool = {0, kInvalidId - 1};
+  std::set<uint32_t> distinct(pool.begin(), pool.end());
+  while (pool.size() < 120) {
+    const auto id = static_cast<uint32_t>(rng.Below(kInvalidId - 1));
+    if (distinct.insert(id).second) pool.push_back(id);
+  }
+  SignedEdgeList list;
+  std::map<uint32_t, EdgeSign> ref;
+  // Start from a bulk assignment of n-edges above the threshold.
+  const std::vector<uint32_t> first(pool.begin(), pool.begin() + 30);
+  list.Assign(first, -1);
+  for (uint32_t id : first) ref[id] = -1;
+  ExpectListMatches(list, ref, pool, -1);
+  ASSERT_TRUE(list.has_index());
+
+  int step = 0;
+  std::vector<bool> indexed;  // has_index() at the end of each phase
+  for (const size_t target : {50u, 2u, 90u, 0u, 20u, 100u, 5u}) {
+    while (ref.size() != target) {
+      const bool grow = ref.size() < target ? rng.Chance(0.8)
+                                            : rng.Chance(0.2);
+      if (grow) {
+        // The next absent id of the pool from a random start.
+        size_t at = rng.Below(pool.size());
+        while (ref.count(pool[at]) != 0) at = (at + 1) % pool.size();
+        const EdgeSign sign = rng.Chance(0.3) ? -1 : +1;
+        list.Add(pool[at], sign);
+        ref[pool[at]] = sign;
+      } else {
+        // Mostly a present id; sometimes any, to erase an absent one.
+        const uint32_t id =
+            !ref.empty() && rng.Chance(0.9)
+                ? std::next(ref.begin(), rng.Below(ref.size()))->first
+                : pool[rng.Below(pool.size())];
+        const auto it = ref.find(id);
+        const EdgeSign want = it == ref.end() ? 0 : it->second;
+        ASSERT_EQ(list.Erase(id), want) << "step " << step;
+        if (it != ref.end()) ref.erase(it);
+      }
+      ExpectListMatches(list, ref, pool, step++);
+      // A list of more than kLinearMax entries always has an index.
+      if (list.size() > SignedEdgeList::kLinearMax) {
+        ASSERT_TRUE(list.has_index());
+      }
+    }
+    indexed.push_back(list.has_index());
+    if (target == 0) {
+      EXPECT_EQ(list.capacity(), 0u);  // an emptied list frees its block
+    }
+    // Copies and moves carry the entries, counts and index.
+    SignedEdgeList copy = list;
+    ExpectListMatches(copy, ref, pool, step);
+    SignedEdgeList moved = std::move(copy);
+    ExpectListMatches(moved, ref, pool, step);
+    copy = moved;
+    ExpectListMatches(copy, ref, pool, step);
+  }
+  EXPECT_EQ(indexed, (std::vector<bool>{true, false, true, false, true, true,
+                                         false}));
+  EXPECT_GT(step, 500);
 }
 
 // ------------------------------------------------------------------- Dsu
