@@ -7,11 +7,12 @@
 // S-worker pool (timed), and drive the same fixed batch through the
 // coordinator with parallel dispatch. Both sides serve the canonical
 // contract the dist tests pin down — neighbor lists sorted ascending —
-// so the comparison is like for like. Checksums (summed neighbor
-// counts) must agree across every mode — the answers are the same graph
-// either way. Results go to stdout and BENCH_dist.json; CI gates on the
-// 4-shard coordinator staying >= 1.3x over the sequential single box
-// (bench/check_dist.py) and on checksum agreement (fatal here).
+// so the comparison is like for like. Checksums (a hash of every
+// position's list, in input order) must agree across every mode — the
+// answers are the same graph either way. Results go to stdout and
+// BENCH_dist.json; CI gates on the 4-shard coordinator staying >= 1.3x
+// over the sequential single box (bench/check_dist.py) and on checksum
+// agreement (fatal here).
 //
 // Env knobs:
 //   SLUGGER_BENCH_DIST_SCALE       RMAT scale (default 14 -> 16384 nodes)
@@ -23,6 +24,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -52,6 +54,19 @@ std::vector<uint32_t> ShardList() {
   }
   if (list.empty()) list = {1, 2, 4};
   return list;
+}
+
+/// FNV-1a over each position's list length and neighbor ids, in input
+/// order: two results agree only when every position's list does.
+uint64_t HashAnswers(const slugger::BatchResult& result) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](uint64_t x) { h = (h ^ x) * 0x100000001b3ull; };
+  for (size_t i = 0; i < result.size(); ++i) {
+    const std::span<const slugger::NodeId> list = result[i];
+    mix(list.size());
+    for (slugger::NodeId v : list) mix(v);
+  }
+  return h;
 }
 
 struct Run {
@@ -120,7 +135,6 @@ int main() {
      // serving cost on both sides, not coordinator overhead.
     BatchScratch scratch;
     BatchResult result;
-    uint64_t checksum = 0;
     WallTimer timer;
     for (uint64_t rep = 0; rep < reps; ++rep) {
       if (!single_box.NeighborsBatch(batch, &result, &scratch).ok()) return 1;
@@ -128,11 +142,11 @@ int main() {
         std::sort(result.neighbors.begin() + result.offsets[i],
                   result.neighbors.begin() + result.offsets[i + 1]);
       }
-      checksum = result.neighbors.size();
     }
     const double seconds = timer.Seconds();
     runs.push_back({"single", 1, seconds, total_queries / seconds, 0.0,
-                    compress_timer.Seconds(), 0.0, 1.0, 1.0, checksum});
+                    compress_timer.Seconds(), 0.0, 1.0, 1.0,
+                    HashAnswers(result)});
   }
 
   for (uint32_t shards : shard_list) {
@@ -164,7 +178,6 @@ int main() {
     }
 
     BatchResult result;
-    uint64_t checksum = 0;
     double stitch_seconds = 0.0;
     uint64_t subqueries = 0;
     WallTimer timer;
@@ -173,7 +186,6 @@ int main() {
       if (!sharded.value().NeighborsBatch(batch, &result, &stats).ok()) {
         return 1;
       }
-      checksum = result.neighbors.size();
       stitch_seconds += stats.stitch_seconds;
       subqueries = stats.subqueries;
     }
@@ -182,7 +194,7 @@ int main() {
                     partition_seconds, build_seconds, stitch_seconds,
                     static_cast<double>(subqueries) /
                         static_cast<double>(batch_size),
-                    sharded.value().CostSkew(), checksum});
+                    sharded.value().CostSkew(), HashAnswers(result)});
   }
 
   const Run& baseline = runs.front();
@@ -219,7 +231,7 @@ int main() {
         "\"queries_per_second\":%.1f,\"speedup_vs_single\":%.4f,"
         "\"partition_seconds\":%.6f,\"build_seconds\":%.6f,"
         "\"stitch_seconds\":%.6f,\"fanout\":%.4f,\"skew\":%.4f,"
-        "\"checksum\":%llu}",
+        "\"checksum\":\"%016llx\"}",
         i == 0 ? "" : ",", r.mode.c_str(), r.shards, r.seconds,
         r.queries_per_second,
         r.queries_per_second / baseline.queries_per_second,

@@ -54,7 +54,8 @@ def main() -> int:
         return 2
 
     # Correctness first, and never skipped: every sharded run must agree
-    # with the single box byte for byte (the bench sums neighbor counts).
+    # with the single box byte for byte (the bench hashes every position's
+    # neighbor list, in input order).
     diverged = [r for r in runs
                 if r.get("checksum") != single.get("checksum")]
     if diverged:

@@ -95,10 +95,14 @@ StatusOr<RebalanceReport> ShardedGraph::Rebalance(const graph::Graph& g,
   report.skew_after = report.skew_before;
   if (report.skew_before <= max_skew) return report;
 
-  // Balanced-degree is the re-partition strategy regardless of how the
-  // deployment started: skew is exactly what it greedily minimizes.
+  // The default strategy re-partitions regardless of how the deployment
+  // started. It balances owned edges as tightly as balanced-degree does
+  // and keeps each node beside its neighbours, so every shard stays
+  // small: balanced-degree evens the cost ratio on a planted hierarchy
+  // only by making every shard two to three times larger. A deployment
+  // already on it gets its own partition back, re-summarized.
   ShardedOptions rebuilt = options_;
-  rebuilt.partition.strategy = dist::PartitionStrategy::kBalancedDegree;
+  rebuilt.partition.strategy = dist::PartitionOptions{}.strategy;
   StatusOr<dist::ServingEpoch> epoch = BuildEpoch(g, rebuilt, pool_.get());
   if (!epoch.ok()) return epoch.status();
   Status adopted = coordinator_->AdoptEpoch(std::move(epoch).value());

@@ -114,10 +114,14 @@ class ShardedGraph {
 
   /// The rebalance hook: when CostSkew() exceeds `max_skew`,
   /// re-partition g (the same graph Build saw — the facade does not
-  /// retain it) with the balanced-degree strategy, re-summarize every
-  /// shard, and atomically install the new epoch. Readers never pause:
-  /// in-flight batches finish on the old epoch. No-op (rebalanced =
-  /// false) while the skew is within budget.
+  /// retain it) with the default strategy (dist::PartitionOptions{}),
+  /// re-summarize every shard, and atomically install the new epoch.
+  /// Readers never pause: in-flight batches finish on the old epoch.
+  /// No-op (rebalanced = false) while the skew is within budget. The
+  /// partition is a pure function of g, so a deployment built with the
+  /// default gets the same manifest back: the rebalance then restores
+  /// shard summaries that a republish made worse, but cannot lower a
+  /// skew its partition causes.
   StatusOr<RebalanceReport> Rebalance(const graph::Graph& g, double max_skew);
 
   /// Shard s's registry, for shard-local refresh jobs (republishing a

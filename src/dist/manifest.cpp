@@ -120,7 +120,7 @@ StatusOr<ShardManifest> ShardManifest::Deserialize(const std::string& bytes) {
     return CorruptManifest("shard count out of range");
   }
   if (num_nodes > kMaxNodes) return CorruptManifest("node count out of range");
-  if (strategy > static_cast<uint64_t>(PartitionStrategy::kBalancedDegree)) {
+  if (strategy > static_cast<uint64_t>(PartitionStrategy::kShingle)) {
     return CorruptManifest("unknown partition strategy");
   }
   // Every remaining field costs at least one encoded byte, so the buffer

@@ -39,6 +39,7 @@ enum class PartitionStrategy : uint8_t {
   kContiguous = 0,      ///< equal-width node-id ranges
   kHashed = 1,          ///< multiplicative hash of the node id
   kBalancedDegree = 2,  ///< greedy: heaviest nodes first, lightest shard
+  kShingle = 3,         ///< min-hash order, each node beside its neighbours
 };
 
 /// Per-shard accounting the partitioner computes while streaming edges;

@@ -23,6 +23,7 @@
 #include "dist/manifest.hpp"
 #include "dist/partitioner.hpp"
 #include "dist/shard_summarizer.hpp"
+#include "gen/datasets.hpp"
 #include "gen/generators.hpp"
 #include "graph/partition_stream.hpp"
 #include "storage/storage.hpp"
@@ -44,7 +45,7 @@ CompressedGraph Compress(const graph::Graph& g, uint64_t seed = 7,
 
 ShardedGraph BuildSharded(const graph::Graph& g, uint32_t num_shards,
                           dist::PartitionStrategy strategy =
-                              dist::PartitionStrategy::kBalancedDegree) {
+                              dist::PartitionOptions{}.strategy) {
   ShardedOptions options;
   options.partition.num_shards = num_shards;
   options.partition.strategy = strategy;
@@ -53,6 +54,21 @@ ShardedGraph BuildSharded(const graph::Graph& g, uint32_t num_shards,
   StatusOr<ShardedGraph> sharded = ShardedGraph::Build(g, options);
   EXPECT_TRUE(sharded.ok()) << sharded.status().ToString();
   return std::move(sharded).value();
+}
+
+/// Every strategy PartitionGraph implements.
+constexpr dist::PartitionStrategy kEveryStrategy[] = {
+    dist::PartitionStrategy::kContiguous, dist::PartitionStrategy::kHashed,
+    dist::PartitionStrategy::kBalancedDegree,
+    dist::PartitionStrategy::kShingle};
+
+/// Share of g's edges whose endpoints have different home shards.
+double CutFraction(const graph::Graph& g, const dist::ShardManifest& m) {
+  uint64_t cut = 0;
+  for (const Edge& e : g.Edges()) {
+    if (m.HomeOf(e.first) != m.HomeOf(e.second)) ++cut;
+  }
+  return static_cast<double>(cut) / static_cast<double>(g.num_edges());
 }
 
 /// Permutation of all nodes plus 200 random duplicates — every node is
@@ -116,9 +132,7 @@ void ExpectShardedAgreesWithSingleBox(const graph::Graph& g,
 
 TEST(Partitioner, IsDeterministicForEveryStrategy) {
   graph::Graph g = gen::RMat(9, 4096, 0.57, 0.19, 0.19, /*seed=*/3);
-  for (dist::PartitionStrategy strategy :
-       {dist::PartitionStrategy::kContiguous, dist::PartitionStrategy::kHashed,
-        dist::PartitionStrategy::kBalancedDegree}) {
+  for (dist::PartitionStrategy strategy : kEveryStrategy) {
     dist::PartitionOptions options;
     options.num_shards = 4;
     options.strategy = strategy;
@@ -194,30 +208,93 @@ TEST(Partitioner, RejectsImpossibleShardCounts) {
   ASSERT_FALSE(dist::PartitionGraph(g, toomany).ok());
 }
 
+// Why kShingle exists: SLUGGER merges only nodes of one candidate group,
+// and a cut edge is a merge no shard can make. On a planted hierarchy
+// the min-hash order keeps nearly every block on one shard, while the
+// degree-balanced split cuts as much as a random one (3/4 at 4 shards);
+// both balance owned edges. Node ids are shuffled first, so neither
+// strategy gains from the generator's block-contiguous ids.
+TEST(Partitioner, ShingleCutsFewerEdgesThanBalancedDegreeOnAPlantedHierarchy) {
+  const graph::Graph planted =
+      gen::GenerateDataset("EU-syn", gen::Scale::kTiny, 1);
+  std::vector<NodeId> perm(planted.num_nodes());
+  for (NodeId v = 0; v < planted.num_nodes(); ++v) perm[v] = v;
+  Rng(61).Shuffle(perm);
+  std::vector<Edge> edges;
+  for (const Edge& e : planted.Edges()) {
+    edges.push_back(MakeEdge(perm[e.first], perm[e.second]));
+  }
+  const graph::Graph g = graph::Graph::FromEdges(planted.num_nodes(), edges);
+  dist::PartitionOptions shingle;
+  shingle.strategy = dist::PartitionStrategy::kShingle;
+  dist::PartitionOptions balanced;
+  balanced.strategy = dist::PartitionStrategy::kBalancedDegree;
+  StatusOr<dist::ShardManifest> by_shingle = dist::PartitionGraph(g, shingle);
+  StatusOr<dist::ShardManifest> by_degree = dist::PartitionGraph(g, balanced);
+  ASSERT_TRUE(by_shingle.ok() && by_degree.ok());
+
+  const double shingle_cut = CutFraction(g, by_shingle.value());
+  const double degree_cut = CutFraction(g, by_degree.value());
+  EXPECT_GT(degree_cut, 0.7);
+  EXPECT_LT(shingle_cut, 0.05);
+  EXPECT_LT(by_shingle.value().EdgeSkew(), 1.05);
+  EXPECT_LT(by_degree.value().EdgeSkew(), 1.05);
+}
+
 // -------------------------------------------------------- manifest
 
 TEST(Manifest, RoundTripsThroughBytesAndFiles) {
   graph::Graph g = gen::RMat(8, 2048, 0.6, 0.15, 0.15, /*seed=*/5);
-  for (uint32_t shards : {1u, 3u, 8u}) {
-    dist::PartitionOptions options;
-    options.num_shards = shards;
-    StatusOr<dist::ShardManifest> manifest = dist::PartitionGraph(g, options);
-    ASSERT_TRUE(manifest.ok());
+  for (dist::PartitionStrategy strategy : kEveryStrategy) {
+    for (uint32_t shards : {1u, 3u, 8u}) {
+      SCOPED_TRACE("strategy " + std::to_string(static_cast<int>(strategy)) +
+                   ", " + std::to_string(shards) + " shards");
+      dist::PartitionOptions options;
+      options.num_shards = shards;
+      options.strategy = strategy;
+      StatusOr<dist::ShardManifest> manifest =
+          dist::PartitionGraph(g, options);
+      ASSERT_TRUE(manifest.ok());
 
-    const std::string bytes = manifest.value().Serialize();
-    StatusOr<dist::ShardManifest> reparsed =
-        dist::ShardManifest::Deserialize(bytes);
-    ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString();
-    ASSERT_EQ(reparsed.value(), manifest.value()) << shards << " shards";
+      const std::string bytes = manifest.value().Serialize();
+      StatusOr<dist::ShardManifest> reparsed =
+          dist::ShardManifest::Deserialize(bytes);
+      ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString();
+      ASSERT_EQ(reparsed.value(), manifest.value());
 
-    const std::string path =
-        testing::TempDir() + "/manifest_" + std::to_string(shards) + ".slgm";
-    ASSERT_TRUE(manifest.value().Save(path).ok());
-    StatusOr<dist::ShardManifest> loaded = dist::ShardManifest::Load(path);
-    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-    ASSERT_EQ(loaded.value(), manifest.value());
-    std::remove(path.c_str());
+      const std::string path =
+          testing::TempDir() + "/manifest_" + std::to_string(shards) + ".slgm";
+      ASSERT_TRUE(manifest.value().Save(path).ok());
+      StatusOr<dist::ShardManifest> loaded = dist::ShardManifest::Load(path);
+      ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+      ASSERT_EQ(loaded.value(), manifest.value());
+      std::remove(path.c_str());
+    }
   }
+}
+
+TEST(Manifest, UnknownStrategyIsCorruption) {
+  // Well-formed, checksummed images that differ only in the strategy:
+  // the last enumerator loads, one past it is rejected.
+  const auto image = [](dist::PartitionStrategy strategy) {
+    return dist::ShardManifest(1, 0, strategy, {}, {}, {},
+                               std::vector<dist::ShardStats>(1))
+        .Serialize();
+  };
+  StatusOr<dist::ShardManifest> last = dist::ShardManifest::Deserialize(
+      image(dist::PartitionStrategy::kShingle));
+  ASSERT_TRUE(last.ok()) << last.status().ToString();
+  EXPECT_EQ(last.value().strategy(), dist::PartitionStrategy::kShingle);
+
+  const auto unknown = static_cast<dist::PartitionStrategy>(
+      static_cast<int>(dist::PartitionStrategy::kShingle) + 1);
+  StatusOr<dist::ShardManifest> past_last =
+      dist::ShardManifest::Deserialize(image(unknown));
+  ASSERT_FALSE(past_last.ok());
+  EXPECT_EQ(past_last.status().code(), Status::Code::kCorruption);
+  EXPECT_NE(past_last.status().ToString().find("unknown partition strategy"),
+            std::string::npos)
+      << past_last.status().ToString();
 }
 
 TEST(Manifest, EveryTruncationAndBitFlipIsRejected) {
@@ -250,10 +327,14 @@ TEST(ShardedServing, AgreesWithSingleBoxOnRmatAcrossShardCounts) {
   graph::Graph g = gen::RMat(10, 8192, 0.57, 0.19, 0.19, /*seed=*/3);
   CompressedGraph single = Compress(g);
   const std::vector<NodeId> nodes = AdversarialBatch(g.num_nodes(), 11);
-  for (uint32_t shards : {1u, 2u, 4u, 8u}) {
-    ShardedGraph sharded = BuildSharded(g, shards);
-    ASSERT_EQ(sharded.num_shards(), shards);
-    ExpectShardedAgreesWithSingleBox(g, single, sharded, nodes);
+  for (dist::PartitionStrategy strategy : kEveryStrategy) {
+    for (uint32_t shards : {1u, 2u, 4u, 8u}) {
+      SCOPED_TRACE("strategy " + std::to_string(static_cast<int>(strategy)) +
+                   ", " + std::to_string(shards) + " shards");
+      ShardedGraph sharded = BuildSharded(g, shards, strategy);
+      ASSERT_EQ(sharded.num_shards(), shards);
+      ExpectShardedAgreesWithSingleBox(g, single, sharded, nodes);
+    }
   }
 }
 
@@ -261,9 +342,7 @@ TEST(ShardedServing, AgreesWithSingleBoxOnErdosRenyiEveryStrategy) {
   graph::Graph g = gen::ErdosRenyi(900, 5400, 21);
   CompressedGraph single = Compress(g);
   const std::vector<NodeId> nodes = AdversarialBatch(g.num_nodes(), 12);
-  for (dist::PartitionStrategy strategy :
-       {dist::PartitionStrategy::kContiguous, dist::PartitionStrategy::kHashed,
-        dist::PartitionStrategy::kBalancedDegree}) {
+  for (dist::PartitionStrategy strategy : kEveryStrategy) {
     ShardedGraph sharded = BuildSharded(g, 4, strategy);
     // The split must produce boundary nodes for this to test stitching.
     uint32_t boundary = 0;
@@ -491,18 +570,31 @@ TEST(ShardedServing, RebalanceSwapsTheEpochAndKeepsAnswers) {
   ASSERT_EQ(sharded.manifest().get(), before.get());
 
   // Force a rebalance (any skew beats a 0.99 budget) and require the
-  // balanced-degree strategy in the new manifest plus unchanged answers.
+  // default strategy in the new manifest plus unchanged answers.
   StatusOr<RebalanceReport> forced = sharded.Rebalance(g, 0.99);
   ASSERT_TRUE(forced.ok()) << forced.status().ToString();
   ASSERT_TRUE(forced.value().rebalanced);
-  ASSERT_EQ(sharded.manifest()->strategy(),
-            dist::PartitionStrategy::kBalancedDegree);
+  ASSERT_EQ(sharded.manifest()->strategy(), dist::PartitionOptions{}.strategy);
   ASSERT_LE(forced.value().skew_after, forced.value().skew_before + 1e-9);
   ExpectShardedAgreesWithSingleBox(g, single, sharded, nodes);
 
   // Wrong graph: rejected before any repartitioning.
   graph::Graph other = gen::ErdosRenyi(10, 20, 1);
   ASSERT_FALSE(sharded.Rebalance(other, 0.5).ok());
+
+  // A deployment built with the default keeps its co-location: the
+  // rebalance swaps in a fresh epoch over the very same partition, and
+  // the deterministic shard builds reproduce the skew.
+  ShardedGraph by_default = BuildSharded(g, 4);
+  const std::shared_ptr<const dist::ShardManifest> default_before =
+      by_default.manifest();
+  StatusOr<RebalanceReport> again = by_default.Rebalance(g, 0.99);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  ASSERT_TRUE(again.value().rebalanced);
+  ASSERT_NE(by_default.manifest().get(), default_before.get());
+  ASSERT_EQ(*by_default.manifest(), *default_before);
+  ASSERT_EQ(again.value().skew_after, again.value().skew_before);
+  ExpectShardedAgreesWithSingleBox(g, single, by_default, nodes);
 }
 
 // --------------------------------------------------- reader churn
