@@ -1,16 +1,14 @@
 #include "api/sharded_graph.hpp"
 
+#include <algorithm>
 #include <string>
 #include <utility>
 
 namespace slugger {
 
 StatusOr<dist::ServingEpoch> ShardedGraph::BuildEpoch(
-    const graph::Graph& g, const ShardedOptions& options, ThreadPool* pool) {
-  StatusOr<dist::ShardManifest> manifest =
-      dist::PartitionGraph(g, options.partition);
-  if (!manifest.ok()) return manifest.status();
-
+    const graph::Graph& g, dist::ShardManifest manifest,
+    const ShardedOptions& options, ThreadPool* pool) {
   dist::ShardSummarizeOptions summarize;
   summarize.engine = options.engine;
   summarize.pool = pool;
@@ -18,12 +16,12 @@ StatusOr<dist::ServingEpoch> ShardedGraph::BuildEpoch(
   summarize.cancel = options.cancel;
   dist::ShardSummarizer summarizer(std::move(summarize));
   StatusOr<std::vector<CompressedGraph>> shards =
-      summarizer.SummarizeShards(g, manifest.value());
+      summarizer.SummarizeShards(g, manifest);
   if (!shards.ok()) return shards.status();
 
   dist::ServingEpoch epoch;
-  epoch.manifest = std::make_shared<const dist::ShardManifest>(
-      std::move(manifest).value());
+  epoch.manifest =
+      std::make_shared<const dist::ShardManifest>(std::move(manifest));
   epoch.shards.reserve(shards.value().size());
   for (CompressedGraph& shard : shards.value()) {
     epoch.shards.push_back(
@@ -42,8 +40,11 @@ StatusOr<ShardedGraph> ShardedGraph::Build(const graph::Graph& g,
                                : options.num_threads;
   if (threads > 1) sharded.pool_ = std::make_unique<ThreadPool>(threads);
 
-  StatusOr<dist::ServingEpoch> epoch =
-      BuildEpoch(g, options, sharded.pool_.get());
+  StatusOr<dist::ShardManifest> manifest =
+      dist::PartitionGraph(g, options.partition);
+  if (!manifest.ok()) return manifest.status();
+  StatusOr<dist::ServingEpoch> epoch = BuildEpoch(
+      g, std::move(manifest).value(), options, sharded.pool_.get());
   if (!epoch.ok()) return epoch.status();
 
   dist::CoordinatorOptions coordinate;
@@ -96,14 +97,21 @@ StatusOr<RebalanceReport> ShardedGraph::Rebalance(const graph::Graph& g,
   if (report.skew_before <= max_skew) return report;
 
   // The default strategy re-partitions regardless of how the deployment
-  // started. It balances owned edges as tightly as balanced-degree does
-  // and keeps each node beside its neighbours, so every shard stays
-  // small: balanced-degree evens the cost ratio on a planted hierarchy
-  // only by making every shard two to three times larger. A deployment
-  // already on it gets its own partition back, re-summarized.
-  ShardedOptions rebuilt = options_;
-  rebuilt.partition.strategy = dist::PartitionOptions{}.strategy;
-  StatusOr<dist::ServingEpoch> epoch = BuildEpoch(g, rebuilt, pool_.get());
+  // started: it balances owned edges and keeps each node beside its
+  // neighbours, so every shard stays small. It is a pure function of g,
+  // so a deployment already on it gets its own node map back, and
+  // re-summarizing that would rebuild the same shards at the same skew.
+  dist::PartitionOptions partition = options_.partition;
+  partition.strategy = dist::PartitionOptions{}.strategy;
+  StatusOr<dist::ShardManifest> repartitioned =
+      dist::PartitionGraph(g, partition);
+  if (!repartitioned.ok()) return repartitioned.status();
+  if (std::ranges::equal(repartitioned.value().node_map(),
+                         manifest()->node_map())) {
+    return report;
+  }
+  StatusOr<dist::ServingEpoch> epoch = BuildEpoch(
+      g, std::move(repartitioned).value(), options_, pool_.get());
   if (!epoch.ok()) return epoch.status();
   Status adopted = coordinator_->AdoptEpoch(std::move(epoch).value());
   if (!adopted.ok()) return adopted;

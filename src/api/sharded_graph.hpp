@@ -15,8 +15,9 @@
 // shard's SnapshotRegistry is exposed so a refresh job can republish a
 // better summary of the SAME shard edge set at any time without
 // coordination (answers are invariant across lossless republishes).
-// Rebalance is the coordinated path: it re-partitions, re-summarizes,
-// and atomically installs the new manifest + registries as one epoch.
+// Rebalance is the coordinated path: it re-partitions and, when the node
+// map changes, re-summarizes and atomically installs the new manifest +
+// registries as one epoch.
 //
 // Thread-safety: queries follow the Coordinator contract (any number
 // of concurrent callers when no dispatch pool is configured; one
@@ -117,11 +118,12 @@ class ShardedGraph {
   /// retain it) with the default strategy (dist::PartitionOptions{}),
   /// re-summarize every shard, and atomically install the new epoch.
   /// Readers never pause: in-flight batches finish on the old epoch.
-  /// No-op (rebalanced = false) while the skew is within budget. The
-  /// partition is a pure function of g, so a deployment built with the
-  /// default gets the same manifest back: the rebalance then restores
-  /// shard summaries that a republish made worse, but cannot lower a
-  /// skew its partition causes.
+  /// No-op (rebalanced = false) while the skew is within budget, and
+  /// also when the re-partition yields the node map already serving:
+  /// the partition is a pure function of g, so a deployment built with
+  /// the default cannot get below its own skew this way. To restore a
+  /// shard that a republish made worse, Publish a fresh summary of it
+  /// through shard_registry(s).
   StatusOr<RebalanceReport> Rebalance(const graph::Graph& g, double max_skew);
 
   /// Shard s's registry, for shard-local refresh jobs (republishing a
@@ -135,11 +137,11 @@ class ShardedGraph {
   const dist::Coordinator& coordinator() const { return *coordinator_; }
 
  private:
-  /// Partition + summarize + wrap in fresh registries, shared by Build
-  /// and Rebalance.
+  /// Summarize every shard of `manifest` and wrap each in a fresh
+  /// registry, shared by Build and Rebalance.
   static StatusOr<dist::ServingEpoch> BuildEpoch(
-      const graph::Graph& g, const ShardedOptions& options,
-      ThreadPool* pool);
+      const graph::Graph& g, dist::ShardManifest manifest,
+      const ShardedOptions& options, ThreadPool* pool);
 
   ShardedOptions options_;
   NodeId num_nodes_ = 0;

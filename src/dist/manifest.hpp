@@ -36,10 +36,13 @@ namespace slugger::dist {
 /// How the partitioner assigned nodes to home shards (recorded in the
 /// manifest so a rebalance or an audit can reproduce the run).
 enum class PartitionStrategy : uint8_t {
-  kContiguous = 0,      ///< equal-width node-id ranges
-  kHashed = 1,          ///< multiplicative hash of the node id
-  kBalancedDegree = 2,  ///< greedy: heaviest nodes first, lightest shard
-  kShingle = 3,         ///< min-hash order, each node beside its neighbours
+  kContiguous = 0,  ///< equal-width node-id ranges
+  kHashed = 1,      ///< multiplicative hash of the node id
+  /// Retired degree-balanced greedy (heaviest node to the lightest
+  /// shard). PartitionGraph rejects it; a stored manifest that names it
+  /// still loads, since the field is a record, not an input.
+  kRetiredBalancedDegree = 2,
+  kShingle = 3,  ///< min-hash order, each node beside its neighbours
 };
 
 /// Per-shard accounting the partitioner computes while streaming edges;

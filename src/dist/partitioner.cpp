@@ -1,7 +1,6 @@
 #include "dist/partitioner.hpp"
 
 #include <algorithm>
-#include <numeric>
 #include <queue>
 #include <string>
 #include <utility>
@@ -28,37 +27,6 @@ std::vector<uint32_t> AssignHashed(NodeId n, uint32_t shards) {
   std::vector<uint32_t> node_shard(n);
   for (NodeId v = 0; v < n; ++v) {
     node_shard[v] = static_cast<uint32_t>(Mix64(v) % shards);
-  }
-  return node_shard;
-}
-
-/// Greedy longest-processing-time balance on degree: heaviest nodes
-/// first, each to the currently lightest shard. Ties break by node id
-/// (the sort) and by shard id (the heap comparator), so the assignment
-/// is a pure function of the degree sequence.
-std::vector<uint32_t> AssignBalancedDegree(const graph::Graph& g,
-                                           uint32_t shards) {
-  const NodeId n = g.num_nodes();
-  std::vector<NodeId> by_degree(n);
-  std::iota(by_degree.begin(), by_degree.end(), 0u);
-  std::sort(by_degree.begin(), by_degree.end(), [&g](NodeId a, NodeId b) {
-    const uint32_t da = g.Degree(a);
-    const uint32_t db = g.Degree(b);
-    if (da != db) return da > db;
-    return a < b;
-  });
-
-  using Load = std::pair<uint64_t, uint32_t>;  // (summed degree, shard)
-  std::priority_queue<Load, std::vector<Load>, std::greater<Load>> heap;
-  for (uint32_t s = 0; s < shards; ++s) heap.push({0, s});
-
-  std::vector<uint32_t> node_shard(n);
-  for (NodeId v : by_degree) {
-    Load lightest = heap.top();
-    heap.pop();
-    node_shard[v] = lightest.second;
-    lightest.first += g.Degree(v);
-    heap.push(lightest);
   }
   return node_shard;
 }
@@ -190,9 +158,11 @@ StatusOr<ShardManifest> PartitionGraph(const graph::Graph& g,
     case PartitionStrategy::kHashed:
       node_shard = AssignHashed(n, shards);
       break;
-    case PartitionStrategy::kBalancedDegree:
-      node_shard = AssignBalancedDegree(g, shards);
-      break;
+    case PartitionStrategy::kRetiredBalancedDegree:
+      return Status::InvalidArgument(
+          "partition strategy 2 (balanced-degree) is retired: manifests "
+          "that name it still load, but new partitions use kShingle, "
+          "kHashed or kContiguous");
     case PartitionStrategy::kShingle:
       node_shard = AssignShingle(g, shards);
       break;

@@ -1,7 +1,7 @@
 // slugger::dist — deterministic edge-cut partitioning of an input graph
 // into N shards (ISSUE 8, tentpole part 1).
 //
-// PartitionGraph assigns every node a home shard under one of four
+// PartitionGraph assigns every node a home shard under one of three
 // deterministic strategies, derives edge ownership via the manifest's
 // smaller-endpoint rule, and returns the ShardManifest the rest of the
 // pipeline (ShardSummarizer, Coordinator) consumes. Determinism is a
@@ -27,21 +27,21 @@ struct PartitionOptions {
   /// kShingle, the default, places each node beside its neighbours
   /// while balancing owned edges. SLUGGER merges only nodes of one
   /// candidate group, which it forms by min-hash shingle, and a cut edge
-  /// is a merge no shard can make. At 4 shards kBalancedDegree (summed
-  /// degree per shard equalized greedily) cuts as many edges as a random
-  /// split, about 75%; kShingle cuts 2-5% of a planted hierarchy's and
-  /// 44% of LJ-syn's, so the shard summaries sum to near the single
-  /// box's size, and it balances owned edges, which bound the slowest
-  /// shard, as tightly. kContiguous keeps node-id locality (cheapest to
+  /// is a merge no shard can make. At 4 shards a split that ignores
+  /// adjacency (kHashed, or the retired degree-balanced greedy) cuts
+  /// about 75% of the edges; kShingle cuts 2-5% of a planted
+  /// hierarchy's and 44% of LJ-syn's, so the shard summaries sum to near
+  /// the single box's size, and it balances owned edges, which bound the
+  /// slowest shard. kContiguous keeps node-id locality (cheapest to
   /// compute, skewed on power-law graphs) and kHashed spreads nodes
-  /// uniformly.
+  /// uniformly. kRetiredBalancedDegree is rejected (InvalidArgument).
   PartitionStrategy strategy = PartitionStrategy::kShingle;
 };
 
 /// Partitions g into options.num_shards shards. InvalidArgument when
 /// num_shards is 0 or exceeds max(1, num_nodes) — a shard with no
 /// possible nodes could never own an edge and only distorts skew
-/// accounting.
+/// accounting — or when the strategy is retired or unknown.
 StatusOr<ShardManifest> PartitionGraph(const graph::Graph& g,
                                        const PartitionOptions& options = {});
 

@@ -59,7 +59,6 @@ ShardedGraph BuildSharded(const graph::Graph& g, uint32_t num_shards,
 /// Every strategy PartitionGraph implements.
 constexpr dist::PartitionStrategy kEveryStrategy[] = {
     dist::PartitionStrategy::kContiguous, dist::PartitionStrategy::kHashed,
-    dist::PartitionStrategy::kBalancedDegree,
     dist::PartitionStrategy::kShingle};
 
 /// Share of g's edges whose endpoints have different home shards.
@@ -210,11 +209,11 @@ TEST(Partitioner, RejectsImpossibleShardCounts) {
 
 // Why kShingle exists: SLUGGER merges only nodes of one candidate group,
 // and a cut edge is a merge no shard can make. On a planted hierarchy
-// the min-hash order keeps nearly every block on one shard, while the
-// degree-balanced split cuts as much as a random one (3/4 at 4 shards);
-// both balance owned edges. Node ids are shuffled first, so neither
-// strategy gains from the generator's block-contiguous ids.
-TEST(Partitioner, ShingleCutsFewerEdgesThanBalancedDegreeOnAPlantedHierarchy) {
+// the min-hash order keeps nearly every block on one shard, while a
+// hashed split cuts what a random one does (3/4 at 4 shards); both
+// balance owned edges. Node ids are shuffled first, so neither strategy
+// gains from the generator's block-contiguous ids.
+TEST(Partitioner, ShingleCutsFewerEdgesThanHashedOnAPlantedHierarchy) {
   const graph::Graph planted =
       gen::GenerateDataset("EU-syn", gen::Scale::kTiny, 1);
   std::vector<NodeId> perm(planted.num_nodes());
@@ -227,20 +226,68 @@ TEST(Partitioner, ShingleCutsFewerEdgesThanBalancedDegreeOnAPlantedHierarchy) {
   const graph::Graph g = graph::Graph::FromEdges(planted.num_nodes(), edges);
   dist::PartitionOptions shingle;
   shingle.strategy = dist::PartitionStrategy::kShingle;
-  dist::PartitionOptions balanced;
-  balanced.strategy = dist::PartitionStrategy::kBalancedDegree;
+  dist::PartitionOptions hashed;
+  hashed.strategy = dist::PartitionStrategy::kHashed;
   StatusOr<dist::ShardManifest> by_shingle = dist::PartitionGraph(g, shingle);
-  StatusOr<dist::ShardManifest> by_degree = dist::PartitionGraph(g, balanced);
-  ASSERT_TRUE(by_shingle.ok() && by_degree.ok());
+  StatusOr<dist::ShardManifest> by_hash = dist::PartitionGraph(g, hashed);
+  ASSERT_TRUE(by_shingle.ok() && by_hash.ok());
 
   const double shingle_cut = CutFraction(g, by_shingle.value());
-  const double degree_cut = CutFraction(g, by_degree.value());
-  EXPECT_GT(degree_cut, 0.7);
+  const double hashed_cut = CutFraction(g, by_hash.value());
+  EXPECT_GT(hashed_cut, 0.7);
   EXPECT_LT(shingle_cut, 0.05);
   EXPECT_LT(by_shingle.value().EdgeSkew(), 1.05);
-  EXPECT_LT(by_degree.value().EdgeSkew(), 1.05);
+  EXPECT_LT(by_hash.value().EdgeSkew(), 1.05);
 }
 
+// Why kShingle places hubs first: otherwise the first hub pulls the
+// dense core of a power-law graph onto one shard, and that shard
+// summarizes slowest. On bench_dist's RMAT-14 graph the heaviest
+// `shards` nodes must land on distinct shards, and no shard may hold
+// much more than its even share of the hubs' (2·degree² > m) summed
+// degree. Without the step, 1-2 shards take the top four and one shard
+// holds about twice its share.
+TEST(Partitioner, ShingleSpreadsPowerLawHubsAcrossShards) {
+  const graph::Graph g = gen::RMat(14, 131072, 0.57, 0.19, 0.19, /*seed=*/7);
+  dist::PartitionOptions options;
+  options.num_shards = 4;
+  options.strategy = dist::PartitionStrategy::kShingle;
+  StatusOr<dist::ShardManifest> manifest = dist::PartitionGraph(g, options);
+  ASSERT_TRUE(manifest.ok());
+  const dist::ShardManifest& m = manifest.value();
+
+  std::vector<NodeId> by_degree(g.num_nodes());
+  for (NodeId v = 0; v < g.num_nodes(); ++v) by_degree[v] = v;
+  std::sort(by_degree.begin(), by_degree.end(), [&g](NodeId a, NodeId b) {
+    if (g.Degree(a) != g.Degree(b)) return g.Degree(a) > g.Degree(b);
+    return a < b;
+  });
+  std::vector<uint32_t> top_homes;
+  for (uint32_t i = 0; i < options.num_shards; ++i) {
+    top_homes.push_back(m.HomeOf(by_degree[i]));
+  }
+  std::sort(top_homes.begin(), top_homes.end());
+  EXPECT_EQ(static_cast<uint32_t>(
+                std::unique(top_homes.begin(), top_homes.end()) -
+                top_homes.begin()),
+            options.num_shards);
+
+  std::vector<uint64_t> hub_degree(options.num_shards, 0);
+  uint64_t total = 0;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    const uint64_t d = g.Degree(v);
+    if (2 * d * d > g.num_edges()) {
+      hub_degree[m.HomeOf(v)] += d;
+      total += d;
+    }
+  }
+  const uint64_t heaviest =
+      *std::max_element(hub_degree.begin(), hub_degree.end());
+  EXPECT_LT(static_cast<double>(heaviest) * options.num_shards /
+                static_cast<double>(total),
+            1.25);
+  EXPECT_LT(m.EdgeSkew(), 1.01);
+}
 // -------------------------------------------------------- manifest
 
 TEST(Manifest, RoundTripsThroughBytesAndFiles) {
@@ -295,6 +342,71 @@ TEST(Manifest, UnknownStrategyIsCorruption) {
   EXPECT_NE(past_last.status().ToString().find("unknown partition strategy"),
             std::string::npos)
       << past_last.status().ToString();
+}
+
+// kRetiredBalancedDegree (value 2) no longer partitions, but the field
+// records how a deployment was built; nothing reads it as an input. So
+// a stored manifest that names it loads, and its shards serve the single
+// box's answers.
+TEST(Manifest, RetiredStrategyLoadsAndServesButCannotPartition) {
+  graph::Graph g = gen::ErdosRenyi(400, 2400, 13);
+  dist::PartitionOptions retired;
+  retired.strategy = dist::PartitionStrategy::kRetiredBalancedDegree;
+  StatusOr<dist::ShardManifest> rejected = dist::PartitionGraph(g, retired);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), Status::Code::kInvalidArgument);
+  EXPECT_NE(rejected.status().ToString().find("retired"), std::string::npos)
+      << rejected.status().ToString();
+
+  // A manifest as a balanced-degree build stored it: a node map, its
+  // touch sets and stats, and strategy 2.
+  dist::PartitionOptions hashed;
+  hashed.strategy = dist::PartitionStrategy::kHashed;
+  StatusOr<dist::ShardManifest> partition = dist::PartitionGraph(g, hashed);
+  ASSERT_TRUE(partition.ok());
+  const dist::ShardManifest& m = partition.value();
+  std::vector<uint64_t> touch_offsets{0};
+  std::vector<uint32_t> touch_shards;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    const std::span<const uint32_t> touch = m.TouchSet(v);
+    touch_shards.insert(touch_shards.end(), touch.begin(), touch.end());
+    touch_offsets.push_back(touch_shards.size());
+  }
+  const dist::ShardManifest stored(
+      m.num_shards(), m.num_edges(),
+      dist::PartitionStrategy::kRetiredBalancedDegree,
+      std::vector<uint32_t>(m.node_map().begin(), m.node_map().end()),
+      std::move(touch_offsets), std::move(touch_shards), m.shard_stats());
+  const std::string path = testing::TempDir() + "/manifest_retired.slgm";
+  ASSERT_TRUE(stored.Save(path).ok());
+  StatusOr<dist::ShardManifest> loaded = dist::ShardManifest::Load(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_EQ(loaded.value(), stored);
+  EXPECT_EQ(loaded.value().strategy(),
+            dist::PartitionStrategy::kRetiredBalancedDegree);
+
+  dist::ShardSummarizeOptions summarize;
+  summarize.engine.config.iterations = 10;
+  summarize.engine.config.seed = 7;
+  StatusOr<std::vector<CompressedGraph>> shards =
+      dist::ShardSummarizer(summarize).SummarizeShards(g, loaded.value());
+  ASSERT_TRUE(shards.ok()) << shards.status().ToString();
+  dist::ServingEpoch epoch;
+  epoch.manifest = std::make_shared<const dist::ShardManifest>(
+      std::move(loaded).value());
+  for (CompressedGraph& shard : shards.value()) {
+    epoch.shards.push_back(
+        std::make_shared<SnapshotRegistry>(std::move(shard)));
+  }
+  dist::Coordinator coordinator(std::move(epoch));
+  ASSERT_TRUE(coordinator.status().ok()) << coordinator.status().ToString();
+  const std::vector<NodeId> nodes = AdversarialBatch(g.num_nodes(), 37);
+  const BatchResult expected = CanonicalSingleBox(Compress(g), nodes);
+  BatchResult got;
+  ASSERT_TRUE(coordinator.NeighborsBatch(nodes, &got).ok());
+  ASSERT_EQ(got.offsets, expected.offsets);
+  ASSERT_EQ(got.neighbors, expected.neighbors);
 }
 
 TEST(Manifest, EveryTruncationAndBitFlipIsRejected) {
@@ -578,21 +690,30 @@ TEST(ShardedServing, RebalanceSwapsTheEpochAndKeepsAnswers) {
   ASSERT_LE(forced.value().skew_after, forced.value().skew_before + 1e-9);
   ExpectShardedAgreesWithSingleBox(g, single, sharded, nodes);
 
+  // Forced again, the re-partition yields the node map already serving:
+  // a no-op that keeps the epoch.
+  const std::shared_ptr<const dist::ShardManifest> rebalanced =
+      sharded.manifest();
+  StatusOr<RebalanceReport> repeat = sharded.Rebalance(g, 0.99);
+  ASSERT_TRUE(repeat.ok()) << repeat.status().ToString();
+  ASSERT_FALSE(repeat.value().rebalanced);
+  ASSERT_EQ(sharded.manifest().get(), rebalanced.get());
+
   // Wrong graph: rejected before any repartitioning.
   graph::Graph other = gen::ErdosRenyi(10, 20, 1);
   ASSERT_FALSE(sharded.Rebalance(other, 0.5).ok());
 
-  // A deployment built with the default keeps its co-location: the
-  // rebalance swaps in a fresh epoch over the very same partition, and
-  // the deterministic shard builds reproduce the skew.
+  // A deployment built with the default already serves the partition a
+  // rebalance computes, so a forced call re-summarizes nothing and
+  // reports the skew unchanged.
   ShardedGraph by_default = BuildSharded(g, 4);
   const std::shared_ptr<const dist::ShardManifest> default_before =
       by_default.manifest();
+  ASSERT_EQ(*default_before, *rebalanced);
   StatusOr<RebalanceReport> again = by_default.Rebalance(g, 0.99);
   ASSERT_TRUE(again.ok()) << again.status().ToString();
-  ASSERT_TRUE(again.value().rebalanced);
-  ASSERT_NE(by_default.manifest().get(), default_before.get());
-  ASSERT_EQ(*by_default.manifest(), *default_before);
+  ASSERT_FALSE(again.value().rebalanced);
+  ASSERT_EQ(by_default.manifest().get(), default_before.get());
   ASSERT_EQ(again.value().skew_after, again.value().skew_before);
   ExpectShardedAgreesWithSingleBox(g, single, by_default, nodes);
 }
