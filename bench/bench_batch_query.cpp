@@ -6,9 +6,9 @@
 // then time two modes over the same batch, on one thread:
 //   single          per-node Neighbors() loop (the baseline)
 //   batch           NeighborsBatch (amortization only)
-// Checksums (summed result sizes) must agree across the modes; the exit
-// code is 1 when they do not. Results go to stdout and to
-// BENCH_batch_query.json.
+// Checksums (a hash of each position's list, chained in input order)
+// must agree across the modes; the exit code is 1 when they do not.
+// Results go to stdout and to BENCH_batch_query.json.
 //
 // Env knobs:
 //   SLUGGER_BENCH_BQ_SCALE     RMAT scale (default 14 -> 16384 nodes)
@@ -16,6 +16,7 @@
 //   SLUGGER_BENCH_BQ_BATCH     batch size (default 10000)
 //   SLUGGER_BENCH_BQ_REPS     repetitions per timed mode (default 20)
 #include <cstdio>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -27,13 +28,29 @@
 
 namespace {
 
+using slugger::Mix64;
+using slugger::NodeId;
 using slugger::bench::EnvU64;
+
+/// A hash of one neighbor list that ignores its order: both modes emit
+/// coverage order, which is unspecified.
+uint64_t HashList(std::span<const NodeId> list) {
+  uint64_t h = Mix64(list.size() + 0x5851f42d4c957f2dULL);
+  for (NodeId v : list) h += Mix64(v ^ 0x2545f4914f6cdd1dULL);
+  return h;
+}
+
+/// Folds the list at `position` into a checksum chained in input order, so
+/// a wrong id, or a right list at the wrong position, changes the result.
+uint64_t Chain(uint64_t h, std::span<const NodeId> list, size_t position) {
+  return Mix64(h + HashList(list) + position);
+}
 
 struct Run {
   std::string mode;
   double seconds;         ///< total over all reps
   double queries_per_second;
-  uint64_t checksum;      ///< summed neighbor counts; equal across modes
+  uint64_t checksum;      ///< chained list hashes; equal across modes
 };
 
 }  // namespace
@@ -90,7 +107,9 @@ int main() {
     WallTimer timer;
     for (uint64_t rep = 0; rep < reps; ++rep) {
       checksum = 0;
-      for (NodeId v : batch) checksum += cg.Neighbors(v, &scratch).size();
+      for (size_t i = 0; i < batch.size(); ++i) {
+        checksum = Chain(checksum, cg.Neighbors(batch[i], &scratch), i);
+      }
     }
     runs.push_back({"single", timer.Seconds(),
                     total_queries / timer.Seconds(), checksum});
@@ -103,7 +122,10 @@ int main() {
     WallTimer timer;
     for (uint64_t rep = 0; rep < reps; ++rep) {
       if (!cg.NeighborsBatch(batch, &result, &scratch).ok()) return 1;
-      checksum = result.neighbors.size();
+      checksum = 0;
+      for (size_t i = 0; i < result.size(); ++i) {
+        checksum = Chain(checksum, result[i], i);
+      }
     }
     runs.push_back({"batch", timer.Seconds(),
                     total_queries / timer.Seconds(), checksum});

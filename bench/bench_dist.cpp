@@ -20,7 +20,7 @@
 //   SLUGGER_BENCH_DIST_BATCH       batch size (default 10000)
 //   SLUGGER_BENCH_DIST_REPS        repetitions per timed mode (default 20)
 //   SLUGGER_BENCH_DIST_SHARD_LIST  comma list of shard counts (default 1,2,4)
-#include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
@@ -32,6 +32,7 @@
 #include "api/sharded_graph.hpp"
 #include "bench_env.hpp"
 #include "gen/generators.hpp"
+#include "util/radix_sort.hpp"
 #include "util/random.hpp"
 #include "util/timer.hpp"
 
@@ -131,17 +132,19 @@ int main() {
   std::vector<Run> runs;
   {  // Baseline: the sequential single-box batch every service starts
      // on, serving the same contract as the coordinator — canonical
-     // (ascending) neighbor lists. The per-position sort is part of the
-     // serving cost on both sides, not coordinator overhead.
+     // (ascending) neighbor lists, sorted by the coordinator's routine.
+     // The per-position sort is part of the serving cost on both sides,
+     // not coordinator overhead.
     BatchScratch scratch;
     BatchResult result;
+    ListSortScratch sort;
+    const auto id_bits =
+        static_cast<unsigned>(std::bit_width(single_box.num_nodes() - 1u));
     WallTimer timer;
     for (uint64_t rep = 0; rep < reps; ++rep) {
       if (!single_box.NeighborsBatch(batch, &result, &scratch).ok()) return 1;
-      for (size_t i = 0; i < result.size(); ++i) {
-        std::sort(result.neighbors.begin() + result.offsets[i],
-                  result.neighbors.begin() + result.offsets[i + 1]);
-      }
+      RadixSortLists(result.offsets, result.neighbors, 0, result.size(),
+                     id_bits, &sort);
     }
     const double seconds = timer.Seconds();
     runs.push_back({"single", 1, seconds, total_queries / seconds, 0.0,

@@ -137,7 +137,7 @@ class CompressedGraph {
   /// shared ancestor chain, and a repeated node copies its previous
   /// answer. It is not faster than a Neighbors() loop: bench_batch_query
   /// (RMAT scale 13, 10,000 uniformly random ids, 4-vCPU host) reads
-  /// 0.76-0.83x the loop's speed. Repeats are where it saves work, which
+  /// 0.95-0.98x the loop's speed. Repeats are where it saves work, which
   /// narrows the gap on skewed batches; chain reuse is rare (0.5% on
   /// serve-paged's U5-syn batches). Use it for one input-ordered result
   /// and one Status per batch, not for speed. InvalidArgument if any id is

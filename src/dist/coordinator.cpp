@@ -1,9 +1,11 @@
 #include "dist/coordinator.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <string>
 
 #include "obs/metrics.hpp"
+#include "util/radix_sort.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
@@ -139,14 +141,16 @@ struct ShardAnswer {
 /// Per-calling-thread scatter/gather buffers, reused across batches so a
 /// serving loop stops paying allocation churn after warmup (the same
 /// economics as CompressedGraph's thread-local scratches). Workers of a
-/// dispatch pool only ever touch disjoint `answers` entries; the
-/// containers themselves are owned and resized by the calling thread.
+/// dispatch pool only ever touch disjoint `answers` and `cursor` entries
+/// and their own `sort` entry; the containers themselves are owned and
+/// resized by the calling thread.
 struct GatherScratch {
   std::vector<std::vector<uint32_t>> positions;
   std::vector<std::vector<NodeId>> sub_nodes;
   std::vector<ShardAnswer> answers;
   std::vector<uint32_t> active;
   std::vector<uint64_t> cursor;
+  std::vector<ListSortScratch> sort;  ///< one per stitch worker
 };
 
 GatherScratch& ThreadLocalGatherScratch() {
@@ -317,37 +321,43 @@ Status Coordinator::RunScatterGather(std::span<const NodeId> nodes,
     out->neighbors.resize(out->offsets[batch]);
     std::vector<uint64_t>& cursor = scratch.cursor;
     cursor.assign(out->offsets.begin(), out->offsets.end() - 1);
-    for (uint32_t s : active) {
-      const ShardAnswer& a = answers[s];
-      if (!a.status.ok()) continue;
-      for (size_t k = 0; k < a.result.size(); ++k) {
-        const std::span<const NodeId> src = a.result[k];
-        std::copy(src.begin(), src.end(),
-                  out->neighbors.begin() + cursor[positions[s][k]]);
-        cursor[positions[s][k]] += src.size();
+    // Each range of positions copies its sub-answers into place (a
+    // shard's positions ascend, so they are one run of its entries) and
+    // sorts every list ascending. Dispatch leaves sub-answers in the
+    // shards' emission order (different summaries emit in different
+    // orders, so sorting there would still need a re-sort at boundary
+    // positions; paying once here is strictly less work). Each
+    // kListSortGrain positions are one radix sort of (position, id) tags
+    // on the id bits, scattered back by position. Ranges write disjoint
+    // slices of out->neighbors and cursor, so they ride the pool, one
+    // task each, when one is available.
+    const auto id_bits =
+        static_cast<unsigned>(std::bit_width(manifest.num_nodes() - 1u));
+    const auto stitch_range = [&](uint64_t begin, uint64_t end,
+                                  unsigned worker) {
+      for (uint32_t s : active) {
+        const ShardAnswer& a = answers[s];
+        if (!a.status.ok()) continue;
+        const std::vector<uint32_t>& at = positions[s];
+        size_t k = static_cast<size_t>(
+            std::lower_bound(at.begin(), at.end(), begin) - at.begin());
+        for (; k < at.size() && at[k] < end; ++k) {
+          const std::span<const NodeId> src = a.result[k];
+          std::copy(src.begin(), src.end(),
+                    out->neighbors.begin() + cursor[at[k]]);
+          cursor[at[k]] += src.size();
+        }
       }
-    }
-    // Canonicalize: every list ascending. Dispatch leaves sub-answers in
-    // the shards' natural emission order (different summaries emit in
-    // different orders, so sorting there would still need a re-sort at
-    // boundary positions — paying once here is strictly less work), and
-    // positions are independent, so the pass rides the pool when one is
-    // available. Disjoint position ranges write disjoint slices of
-    // out->neighbors.
-    const auto sort_range = [&](size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) {
-        std::sort(out->neighbors.begin() + out->offsets[i],
-                  out->neighbors.begin() + out->offsets[i + 1]);
-      }
+      RadixSortLists(out->offsets, out->neighbors, begin, end, id_bits,
+                     &scratch.sort[worker]);
     };
-    if (options_.pool != nullptr && options_.pool->size() > 1 && batch > 512) {
-      options_.pool->ParallelFor(
-          batch, /*grain=*/256,
-          [&](uint64_t begin, uint64_t end, unsigned) {
-            sort_range(begin, end);
-          });
+    const bool pooled = options_.pool != nullptr &&
+                        options_.pool->size() > 1 && batch > 512;
+    scratch.sort.resize(pooled ? options_.pool->size() : 1);
+    if (pooled) {
+      options_.pool->ParallelFor(batch, kListSortGrain, stitch_range);
     } else {
-      sort_range(0, batch);
+      stitch_range(0, batch, 0);
     }
   }
   const double stitch_seconds = stitch_timer.Seconds();

@@ -20,6 +20,7 @@
 #define SLUGGER_SUMMARY_COVERAGE_WALK_HPP_
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <span>
@@ -27,6 +28,7 @@
 #include <vector>
 
 #include "summary/neighbor_query.hpp"
+#include "util/radix_sort.hpp"
 #include "util/status.hpp"
 #include "util/types.hpp"
 
@@ -125,14 +127,18 @@ Status WalkBatchOrder(const Records& records, std::span<const NodeId> nodes,
   // Leaf preorder keeps every subtree's leaves contiguous, so ascending
   // rank clusters shared ancestor chains. Equal ranks mean the same node;
   // the position breaks the tie, keeping the order deterministic. The
-  // (rank, position) keys sort as plain integers, parked in chain_begin
-  // until the chains are built.
+  // (rank, position) keys are parked in chain_begin until the chains are
+  // built. They arrive in position order and the radix sort is stable, so
+  // sorting on the rank bits alone (every rank is below num_leaves) yields
+  // the (rank, position) order.
   s->chain_begin.resize(batch);
   Status ranked = records.ForEachRank(nodes, [s](size_t i, uint32_t rank) {
     s->chain_begin[i] = (static_cast<uint64_t>(rank) << 32) | i;
   });
   if (!ranked.ok()) return ranked;
-  std::sort(s->chain_begin.begin(), s->chain_begin.end());
+  const auto rank_bits =
+      static_cast<unsigned>(std::bit_width(records.num_leaves() - 1u));
+  RadixSortBits(s->chain_begin, 32, rank_bits, &s->sort_buffer);
   s->order.resize(batch);
   for (size_t k = 0; k < batch; ++k) {
     s->order[k] = static_cast<uint32_t>(s->chain_begin[k]);

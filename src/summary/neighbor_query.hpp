@@ -130,6 +130,7 @@ struct BatchScratch {
   std::vector<SupernodeId> chains;   ///< concatenated root-first chains
   std::vector<uint64_t> chain_begin; ///< chain offsets (batch size + 1)
   std::vector<uint32_t> order;       ///< batch positions, locality-sorted
+  std::vector<uint64_t> sort_buffer; ///< the order sort's second buffer
   std::vector<NodeId> staged;        ///< neighbors in processing order
   std::vector<uint64_t> staged_begin;
 };

@@ -45,10 +45,12 @@ CompressedGraph Compress(const graph::Graph& g, uint64_t seed = 7,
 
 ShardedGraph BuildSharded(const graph::Graph& g, uint32_t num_shards,
                           dist::PartitionStrategy strategy =
-                              dist::PartitionOptions{}.strategy) {
+                              dist::PartitionOptions{}.strategy,
+                          uint32_t num_threads = 0) {
   ShardedOptions options;
   options.partition.num_shards = num_shards;
   options.partition.strategy = strategy;
+  options.num_threads = num_threads;
   options.engine.config.iterations = 10;
   options.engine.config.seed = 7;
   StatusOr<ShardedGraph> sharded = ShardedGraph::Build(g, options);
@@ -439,13 +441,19 @@ TEST(ShardedServing, AgreesWithSingleBoxOnRmatAcrossShardCounts) {
   graph::Graph g = gen::RMat(10, 8192, 0.57, 0.19, 0.19, /*seed=*/3);
   CompressedGraph single = Compress(g);
   const std::vector<NodeId> nodes = AdversarialBatch(g.num_nodes(), 11);
-  for (dist::PartitionStrategy strategy : kEveryStrategy) {
-    for (uint32_t shards : {1u, 2u, 4u, 8u}) {
-      SCOPED_TRACE("strategy " + std::to_string(static_cast<int>(strategy)) +
-                   ", " + std::to_string(shards) + " shards");
-      ShardedGraph sharded = BuildSharded(g, shards, strategy);
-      ASSERT_EQ(sharded.num_shards(), shards);
-      ExpectShardedAgreesWithSingleBox(g, single, sharded, nodes);
+  // One thread dispatches and stitches on the calling thread; four give
+  // the coordinator a pool, so this batch of over 512 nodes is dispatched
+  // and stitched on it, whatever the host's core count.
+  for (uint32_t threads : {1u, 4u}) {
+    for (dist::PartitionStrategy strategy : kEveryStrategy) {
+      for (uint32_t shards : {1u, 2u, 4u, 8u}) {
+        SCOPED_TRACE(std::to_string(threads) + " threads, strategy " +
+                     std::to_string(static_cast<int>(strategy)) + ", " +
+                     std::to_string(shards) + " shards");
+        ShardedGraph sharded = BuildSharded(g, shards, strategy, threads);
+        ASSERT_EQ(sharded.num_shards(), shards);
+        ExpectShardedAgreesWithSingleBox(g, single, sharded, nodes);
+      }
     }
   }
 }

@@ -25,6 +25,7 @@
 #include "storage/format.hpp"
 #include "storage/paged_source.hpp"
 #include "storage/storage.hpp"
+#include "summary/cover_layout.hpp"
 #include "summary/serialize.hpp"
 
 namespace slugger {
@@ -203,6 +204,71 @@ TEST(PagedStorage, DynamicGraphOverPagedBaseAgrees) {
                                        want[nodes[i]].end());
     EXPECT_EQ(Sorted(ra[i]), expected) << "batch position " << i;
     EXPECT_EQ(Sorted(rb[i]), expected) << "batch position " << i;
+  }
+}
+
+// ------------------------------------------------------ batch walk order
+/// The processing order the batch walk promises: batch positions by
+/// ascending (leaf-preorder rank, position), as std::sort orders the keys.
+std::vector<uint32_t> RankPositionOrder(std::span<const uint32_t> rank,
+                                        std::span<const NodeId> nodes) {
+  std::vector<uint64_t> keys(nodes.size());
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    keys[i] = (static_cast<uint64_t>(rank[nodes[i]]) << 32) | i;
+  }
+  std::sort(keys.begin(), keys.end());
+  std::vector<uint32_t> order;
+  for (uint64_t k : keys) order.push_back(static_cast<uint32_t>(k));
+  return order;
+}
+
+/// The rank section of a v2 image, as the paged walk reads it.
+std::vector<uint32_t> PagedRanks(const std::string& bytes) {
+  StatusOr<storage::PagedHeader> header =
+      storage::ParsePagedHeader(bytes.data(), bytes.size(), bytes.size());
+  EXPECT_TRUE(header.ok()) << header.status().ToString();
+  const storage::PagedHeader& h = header.value();
+  const uint64_t per_page = h.page_size / storage::kRankStride;
+  std::vector<uint32_t> rank(h.num_leaves);
+  for (NodeId v = 0; v < h.num_leaves; ++v) {
+    rank[v] = storage::GetLE32(
+        reinterpret_cast<const uint8_t*>(bytes.data()) +
+        (h.rank.first_page + v / per_page) * h.page_size +
+        (v % per_page) * storage::kRankStride);
+  }
+  return rank;
+}
+
+TEST(BatchWalk, ProcessesNodesInRankPositionOrderOnBothBackends) {
+  // 1,024 leaves sort in one radix pass, 4,096 in two.
+  for (uint32_t scale : {10u, 12u}) {
+    SCOPED_TRACE("rmat scale " + std::to_string(scale));
+    const NodeId n = NodeId{1} << scale;
+    graph::Graph g = gen::RMat(scale, 6 * n, 0.57, 0.19, 0.19, 13);
+    CompressedGraph mem = Summarize(g);
+    StatusOr<std::string> bytes = storage::Serialize(mem);
+    ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+    StatusOr<CompressedGraph> paged = storage::OpenBuffer(bytes.value());
+    ASSERT_TRUE(paged.ok()) << paged.status().ToString();
+    ASSERT_TRUE(paged.value().paged());
+
+    // Repeats at scattered positions make rank ties that only the
+    // position can break, and a pool of half the leaves spreads the
+    // ranks over every digit.
+    std::mt19937 rng(scale);
+    std::vector<NodeId> hot(n / 2);
+    for (NodeId& v : hot) v = static_cast<NodeId>(rng() % n);
+    std::vector<NodeId> nodes(3 * n);
+    for (NodeId& v : nodes) v = hot[rng() % hot.size()];
+
+    BatchResult out;
+    BatchScratch scratch;
+    ASSERT_TRUE(mem.NeighborsBatch(nodes, &out, &scratch).ok());
+    const summary::CoverLayout layout(mem.summary());
+    EXPECT_EQ(scratch.order, RankPositionOrder(layout.rank(), nodes));
+    ASSERT_TRUE(paged.value().NeighborsBatch(nodes, &out, &scratch).ok());
+    EXPECT_EQ(scratch.order,
+              RankPositionOrder(PagedRanks(bytes.value()), nodes));
   }
 }
 

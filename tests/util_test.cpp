@@ -11,6 +11,7 @@
 #include "util/dsu.hpp"
 #include "util/flat_map.hpp"
 #include "util/hashing.hpp"
+#include "util/radix_sort.hpp"
 #include "util/random.hpp"
 #include "util/signed_edge_list.hpp"
 #include "util/status.hpp"
@@ -294,6 +295,90 @@ TEST(Dsu, AddGrowsUniverse) {
   d.Unite(0, id);
   EXPECT_TRUE(d.Same(0, 2));
   EXPECT_EQ(d.universe_size(), 3u);
+}
+
+// ------------------------------------------------------------ RadixSort
+// Keys as the batch walk builds them: a `bits`-wide field above bit 32 and
+// the key's position below it, so std::sort's order of whole keys is the
+// (field, position) order a stable sort on the field must reproduce.
+// Fields come from a pool of `distinct` values spread over the whole
+// width, so every pass sees varied digits and ties are many.
+std::vector<uint64_t> FieldPositionKeys(size_t n, unsigned bits,
+                                        uint64_t distinct, Rng* rng) {
+  std::vector<uint64_t> pool(distinct);
+  for (uint64_t& v : pool) v = rng->Below(uint64_t{1} << bits);
+  std::vector<uint64_t> keys(n);
+  for (size_t i = 0; i < n; ++i) {
+    keys[i] = (pool[rng->Below(distinct)] << 32) | i;
+  }
+  return keys;
+}
+
+TEST(RadixSort, MatchesStdSortAtOneTwoAndThreePasses) {
+  Rng rng(17);
+  std::vector<uint64_t> buffer;
+  // 1 and 11 bits take one pass, 12 and 22 two, 32 three.
+  for (unsigned bits : {1u, 11u, 12u, 22u, 32u}) {
+    for (size_t n : {size_t{0}, size_t{1}, size_t{2}, size_t{1000},
+                     size_t{6000}}) {
+      for (uint64_t distinct : {uint64_t{1}, uint64_t{2}, n / 8 + 1}) {
+        std::vector<uint64_t> keys = FieldPositionKeys(n, bits, distinct, &rng);
+        std::vector<uint64_t> want = keys;
+        std::sort(want.begin(), want.end());
+        RadixSortBits(keys, 32, bits, &buffer);
+        ASSERT_EQ(keys, want) << bits << " bits, " << n << " keys, "
+                              << distinct << " distinct";
+      }
+    }
+  }
+}
+
+TEST(RadixSort, SortsOnlyTheNamedFieldAndIsStable) {
+  Rng rng(23);
+  std::vector<uint64_t> buffer;
+  for (unsigned bits : {1u, 9u, 17u, 23u}) {
+    std::vector<uint64_t> keys(3000);
+    for (uint64_t& k : keys) k = rng.Next();
+    const auto field = [bits](uint64_t k) {
+      return (k >> 5) & ((uint64_t{1} << bits) - 1);
+    };
+    std::vector<uint64_t> want = keys;
+    std::stable_sort(want.begin(), want.end(), [&](uint64_t a, uint64_t b) {
+      return field(a) < field(b);
+    });
+    RadixSortBits(keys, 5, bits, &buffer);
+    ASSERT_EQ(keys, want) << bits << " bits";
+  }
+}
+
+TEST(RadixSort, SortsEachListOfARangeAndNothingElse) {
+  Rng rng(29);
+  ListSortScratch scratch;
+  for (unsigned bits : {1u, 14u, 32u}) {
+    std::vector<uint64_t> offsets{0};
+    std::vector<uint32_t> values;
+    for (int i = 0; i < 600; ++i) {
+      const uint64_t len = rng.Below(4) == 0 ? 0 : rng.Below(40);
+      for (uint64_t k = 0; k < len; ++k) {
+        values.push_back(static_cast<uint32_t>(rng.Below(uint64_t{1} << bits)));
+      }
+      offsets.push_back(values.size());
+    }
+    std::vector<uint32_t> want = values;
+    for (size_t i = 100; i < 356; ++i) {
+      std::sort(want.begin() + offsets[i], want.begin() + offsets[i + 1]);
+    }
+    RadixSortLists(offsets, values, 100, 356, bits, &scratch);
+    ASSERT_EQ(values, want) << bits << " bits";
+    // Every list as one range: three groups of kListSortGrain lists.
+    for (size_t i = 0; i + 1 < offsets.size(); ++i) {
+      std::sort(want.begin() + offsets[i], want.begin() + offsets[i + 1]);
+    }
+    RadixSortLists(offsets, values, 0, offsets.size() - 1, bits, &scratch);
+    ASSERT_EQ(values, want) << bits << " bits";
+    RadixSortLists(offsets, values, 7, 7, bits, &scratch);  // empty range
+    ASSERT_EQ(values, want) << bits << " bits";
+  }
 }
 
 // ---------------------------------------------------------------- varint
