@@ -4,6 +4,7 @@
 #include "algs/bfs.hpp"
 #include "algs/dijkstra.hpp"
 #include "algs/pagerank.hpp"
+#include "algs/summary_ops.hpp"
 #include "algs/triangles.hpp"
 #include "bench_common.hpp"
 
@@ -31,7 +32,7 @@ int main() {
       auto raw = algs::BfsOnGraph(g, 0);
       double ms_raw = t1.Millis();
       WallTimer t2;
-      auto sum = algs::BfsOnSummary(s, 0);
+      auto sum = algs::BfsOnHierarchy(s, 0);
       double ms_sum = t2.Millis();
       std::printf("%-8s %-10s %12.2f %12.2f %9.1fx %8s\n", name, "BFS",
                   ms_raw, ms_sum, ms_sum / std::max(ms_raw, 1e-9),
@@ -42,7 +43,7 @@ int main() {
       auto raw = algs::PageRankOnGraph(g, 0.85, 10);
       double ms_raw = t1.Millis();
       WallTimer t2;
-      auto sum = algs::PageRankOnSummary(s, 0.85, 10);
+      auto sum = algs::PageRankOnHierarchy(s, 0.85, 10);
       double ms_sum = t2.Millis();
       bool match = true;
       for (size_t i = 0; i < raw.size(); ++i) {
@@ -68,7 +69,7 @@ int main() {
       uint64_t raw = algs::TrianglesOnGraph(g);
       double ms_raw = t1.Millis();
       WallTimer t2;
-      uint64_t sum = algs::TrianglesOnSummary(s);
+      uint64_t sum = algs::TrianglesOnHierarchy(s);
       double ms_sum = t2.Millis();
       std::printf("%-8s %-10s %12.2f %12.2f %9.1fx %8s\n", name, "Triangles",
                   ms_raw, ms_sum, ms_sum / std::max(ms_raw, 1e-9),

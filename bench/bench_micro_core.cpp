@@ -125,11 +125,13 @@ void BM_NeighborQuery(benchmark::State& state) {
   config.iterations = 10;
   static core::SluggerResult* result =
       new core::SluggerResult(core::Summarize(g, config));
+  static summary::CoverLayout* layout =
+      new summary::CoverLayout(result->summary);
   summary::QueryScratch scratch;
   uint32_t u = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        summary::QueryNeighbors(result->summary, u % g.num_nodes(), &scratch));
+        summary::QueryNeighbors(*layout, u % g.num_nodes(), &scratch));
     ++u;
   }
 }

@@ -145,9 +145,7 @@ int main() {
       std::fprintf(stderr, "paged save failed\n");
       return 1;
     }
-    storage::OpenOptions paged_open;
-    paged_open.mode = storage::OpenOptions::Mode::kPaged;
-    StatusOr<CompressedGraph> paged = storage::Open(paged_path, paged_open);
+    StatusOr<CompressedGraph> paged = storage::Open(paged_path);
     if (!paged.ok()) {
       std::fprintf(stderr, "paged open failed: %s\n",
                    paged.status().ToString().c_str());

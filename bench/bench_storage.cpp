@@ -101,8 +101,6 @@ int main() {
   // ---------------------------------------------------------- cold open
   double mono_open_seconds = 0;
   double paged_open_seconds = 0;
-  storage::OpenOptions paged_open;
-  paged_open.mode = storage::OpenOptions::Mode::kPaged;
   for (uint64_t rep = 0; rep < reps; ++rep) {
     {
       WallTimer timer;
@@ -115,7 +113,7 @@ int main() {
     }
     {
       WallTimer timer;
-      StatusOr<CompressedGraph> opened = storage::Open(v2_path, paged_open);
+      StatusOr<CompressedGraph> opened = storage::Open(v2_path);
       paged_open_seconds += timer.Seconds();
       if (!opened.ok() || opened.value().num_nodes() != cg.num_nodes()) {
         std::fprintf(stderr, "paged open failed\n");
@@ -138,7 +136,7 @@ int main() {
   const double total_queries =
       static_cast<double>(batch_size) * static_cast<double>(reps);
 
-  StatusOr<CompressedGraph> paged = storage::Open(v2_path, paged_open);
+  StatusOr<CompressedGraph> paged = storage::Open(v2_path);
   if (!paged.ok()) {
     std::fprintf(stderr, "paged open failed: %s\n",
                  paged.status().ToString().c_str());

@@ -9,6 +9,7 @@
 
 #include "algs/bfs.hpp"
 #include "algs/pagerank.hpp"
+#include "algs/summary_ops.hpp"
 #include "api/engine.hpp"
 #include "gen/generators.hpp"
 #include "util/parse.hpp"
@@ -73,14 +74,14 @@ int main(int argc, char** argv) {
 
   // 2. Analytics on the compressed form: PageRank + BFS.
   timer.Restart();
-  std::vector<double> rank = algs::PageRankOnSummary(cg.summary(), 0.85, 10);
+  std::vector<double> rank = algs::PageRankOnHierarchy(cg.summary(), 0.85, 10);
   std::printf("PageRank (10 iters) on the summary: %.1f ms\n", timer.Millis());
   NodeId top = 0;
   for (NodeId u = 1; u < g.num_nodes(); ++u) {
     if (rank[u] > rank[top]) top = u;
   }
   timer.Restart();
-  auto dist = algs::BfsOnSummary(cg.summary(), top);
+  auto dist = algs::BfsOnHierarchy(cg.summary(), top);
   uint64_t reached = 0;
   for (uint32_t d : dist) reached += d != algs::kUnreached;
   std::printf("BFS from top-ranked node %u reaches %llu nodes (%.1f ms)\n",

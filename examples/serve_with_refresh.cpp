@@ -78,9 +78,7 @@ int main(int argc, char** argv) {
                  persisted.ToString().c_str());
     return 1;
   }
-  storage::OpenOptions paged_open;
-  paged_open.mode = storage::OpenOptions::Mode::kPaged;
-  StatusOr<CompressedGraph> opened = storage::Open(bootstrap_path, paged_open);
+  StatusOr<CompressedGraph> opened = storage::Open(bootstrap_path);
   if (!opened.ok()) {
     std::fprintf(stderr, "bootstrap open failed: %s\n",
                  opened.status().ToString().c_str());

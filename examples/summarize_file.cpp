@@ -124,10 +124,8 @@ int main(int argc, char** argv) {
   // Round trip 2: the paged file, served out-of-core. The open touches
   // only the header and page table; each query then faults in just the
   // pages its ancestor-chain walk needs.
-  storage::OpenOptions paged_open;
-  paged_open.mode = storage::OpenOptions::Mode::kPaged;
   WallTimer open_timer;
-  StatusOr<CompressedGraph> paged = storage::Open(paged_path, paged_open);
+  StatusOr<CompressedGraph> paged = storage::Open(paged_path);
   if (!paged.ok()) {
     std::fprintf(stderr, "paged open failed: %s\n",
                  paged.status().ToString().c_str());

@@ -1,19 +1,10 @@
 #include "algs/bfs.hpp"
 
-#include "algs/summary_ops.hpp"
-
 namespace slugger::algs {
 
 std::vector<uint32_t> BfsOnGraph(const graph::Graph& g, NodeId start) {
   RawSource src(g);
   return BfsDistances(src, start);
-}
-
-std::vector<uint32_t> BfsOnSummary(const summary::SummaryGraph& s,
-                                   NodeId start) {
-  // Hierarchy-native: level-synchronous frontier expansion through
-  // superedges, never materializing adjacency.
-  return BfsOnHierarchy(s, start);
 }
 
 }  // namespace slugger::algs

@@ -32,7 +32,6 @@ std::vector<uint32_t> BfsDistances(Source& src, NodeId start) {
 }
 
 std::vector<uint32_t> BfsOnGraph(const graph::Graph& g, NodeId start);
-std::vector<uint32_t> BfsOnSummary(const summary::SummaryGraph& s, NodeId start);
 
 }  // namespace slugger::algs
 

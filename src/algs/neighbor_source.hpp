@@ -38,9 +38,11 @@ class RawSource {
 ///
 /// The right source for multi-pass analytics (PageRank's T sweeps, BFS
 /// frontiers that revisit hubs): one amortized sweep, then every pass is
-/// pure array reads. For a single pass over few nodes, calling
-/// summary::QueryNeighbors with a QueryScratch costs less. Thread-safe
-/// after construction (all members are immutable; Neighbors is const).
+/// pure array reads. For a single pass over few nodes, a
+/// slugger::CompressedGraph's Neighbors with a QueryScratch costs less: it
+/// walks the layout it keeps instead of materializing every list.
+/// Thread-safe after construction (all members are immutable; Neighbors
+/// is const).
 class BatchedSummarySource {
  public:
   explicit BatchedSummarySource(const summary::SummaryGraph& s,

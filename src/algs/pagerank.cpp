@@ -1,20 +1,11 @@
 #include "algs/pagerank.hpp"
 
-#include "algs/summary_ops.hpp"
-
 namespace slugger::algs {
 
 std::vector<double> PageRankOnGraph(const graph::Graph& g, double d,
                                     uint32_t iterations) {
   RawSource src(g);
   return PageRank(src, d, iterations);
-}
-
-std::vector<double> PageRankOnSummary(const summary::SummaryGraph& s, double d,
-                                      uint32_t iterations) {
-  // Hierarchy-native: each round is one summary SpMV, O(|P| + |N| + n)
-  // instead of materializing adjacency and paying O(|E|).
-  return PageRankOnHierarchy(s, d, iterations);
 }
 
 std::vector<double> PageRankOnSummaryBatched(const summary::SummaryGraph& s,

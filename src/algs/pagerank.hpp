@@ -39,13 +39,12 @@ std::vector<double> PageRank(Source& src, double d, uint32_t iterations) {
 
 std::vector<double> PageRankOnGraph(const graph::Graph& g, double d,
                                     uint32_t iterations);
-std::vector<double> PageRankOnSummary(const summary::SummaryGraph& s, double d,
-                                      uint32_t iterations);
 
 /// PageRank through the batch-aware adapter: one amortized
 /// QueryNeighborsBatch sweep materializes the adjacency, then the T
 /// power iterations run on plain array reads. Identical output to
-/// PageRankOnSummary (both serve the represented graph exactly).
+/// PageRankOnHierarchy up to summation-order rounding (both serve the
+/// represented graph exactly).
 std::vector<double> PageRankOnSummaryBatched(const summary::SummaryGraph& s,
                                              double d, uint32_t iterations);
 

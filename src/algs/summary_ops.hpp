@@ -86,8 +86,8 @@ class SummaryOps {
                 std::span<const EdgeCorrection> corrections = {}) const;
 
   /// Exact degree vector of the represented graph: one integer multiply
-  /// with x = 1, so each supernode aggregate is just its leaf count — the
-  /// QueryDegreeBatch-free bottom-up count.
+  /// with x = 1, so each supernode aggregate is just its leaf count — a
+  /// bottom-up count that expands no neighbor list.
   std::vector<int64_t> Degrees(
       Scratch* scratch, ThreadPool* pool = nullptr,
       std::span<const EdgeCorrection> corrections = {}) const;

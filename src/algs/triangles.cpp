@@ -1,18 +1,10 @@
 #include "algs/triangles.hpp"
 
-#include "algs/summary_ops.hpp"
-
 namespace slugger::algs {
 
 uint64_t TrianglesOnGraph(const graph::Graph& g) {
   RawSource src(g);
   return CountTriangles(src);
-}
-
-uint64_t TrianglesOnSummary(const summary::SummaryGraph& s) {
-  // Hierarchy-native: per superedge-pair block counting with
-  // inclusion-exclusion, at summary cost.
-  return TrianglesOnHierarchy(s);
 }
 
 }  // namespace slugger::algs

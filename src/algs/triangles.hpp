@@ -46,7 +46,6 @@ uint64_t CountTriangles(Source& src) {
 }
 
 uint64_t TrianglesOnGraph(const graph::Graph& g);
-uint64_t TrianglesOnSummary(const summary::SummaryGraph& s);
 
 }  // namespace slugger::algs
 

@@ -65,6 +65,12 @@ BatchScratch& ThreadLocalBatchScratch() {
   return scratch;
 }
 
+/// The neighbor lists DegreeBatch counts, one buffer per thread.
+BatchResult& ThreadLocalDegreeLists() {
+  thread_local BatchResult lists;
+  return lists;
+}
+
 }  // namespace
 
 // States: 0 = serving paged, 1 = materialized (summary/layout set),
@@ -235,25 +241,13 @@ const std::vector<NodeId>& CompressedGraph::Neighbors(NodeId v) const {
 }
 
 size_t CompressedGraph::Degree(NodeId v, QueryScratch* scratch) const {
-  return Degree(v, scratch, {});
+  return Neighbors(v, scratch).size();
 }
 
 size_t CompressedGraph::Degree(
     NodeId v, QueryScratch* scratch,
     std::span<const NeighborOverride> overrides) const {
-  Obs().single->Add(1);
-  obs::ScopedTimer obs_timer(SampledSingleHistogram());
-  if (v >= num_nodes_) return 0;
-  if (ServePaged()) {
-    Obs().paged->Add(1);
-    StatusOr<uint64_t> degree = box_->source->Degree(v, scratch, overrides);
-    if (!degree.ok()) {
-      box_->RecordError(degree.status());
-      return 0;
-    }
-    return static_cast<size_t>(degree.value());
-  }
-  return summary::QueryDegree(ActiveLayout(), v, scratch, overrides);
+  return Neighbors(v, scratch, overrides).size();
 }
 
 size_t CompressedGraph::Degree(NodeId v) const {
@@ -299,20 +293,14 @@ Status CompressedGraph::NeighborsBatch(std::span<const NodeId> nodes,
 Status CompressedGraph::DegreeBatch(std::span<const NodeId> nodes,
                                     std::vector<uint64_t>* degrees,
                                     BatchScratch* scratch) const {
+  // Validated here too, so a rejected batch leaves *degrees untouched;
+  // past that, a failed walk empties the lists and so *degrees.
   Status valid = ValidateBatch(nodes);
   if (!valid.ok()) return valid;
-  const QueryObs& o = Obs();
-  o.batches->Add(1);
-  o.batch_nodes->Add(nodes.size());
-  obs::ScopedTimer obs_timer(o.batch_seconds);
-  if (ServePaged()) {
-    o.paged->Add(1);
-    Status served = box_->source->DegreeBatch(nodes, degrees, scratch);
-    if (!served.ok()) box_->RecordError(served);
-    return served;
-  }
-  summary::QueryDegreeBatch(ActiveLayout(), nodes, degrees, scratch);
-  return Status::OK();
+  BatchResult& lists = ThreadLocalDegreeLists();
+  Status served = NeighborsBatch(nodes, &lists, scratch);
+  summary::ListSizes(lists, degrees);
+  return served;
 }
 
 Status CompressedGraph::DegreeBatch(std::span<const NodeId> nodes,

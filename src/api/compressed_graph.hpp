@@ -123,8 +123,8 @@ class CompressedGraph {
       NodeId v, QueryScratch* scratch,
       std::span<const NeighborOverride> overrides) const;
 
-  /// Degree of v, via the count-only coverage pass (no neighbor list is
-  /// materialized). Same concurrency and bounds contract as Neighbors()
+  /// Degree of v: the size of Neighbors(v), whose list it leaves in
+  /// *scratch. Same concurrency and bounds contract as Neighbors()
   /// (out-of-range v yields 0, as does a paged-path error).
   size_t Degree(NodeId v, QueryScratch* scratch) const;
   size_t Degree(NodeId v) const;
@@ -151,8 +151,10 @@ class CompressedGraph {
                         BatchScratch* scratch) const;
   Status NeighborsBatch(std::span<const NodeId> nodes, BatchResult* out) const;
 
-  /// Batched Degree under the same contract: degrees->at(i) answers
-  /// nodes[i]; no neighbor lists are materialized.
+  /// Batched Degree under the same contract: degrees->at(i) is the size
+  /// of nodes[i]'s list, counted off a NeighborsBatch into a list buffer
+  /// this thread keeps. InvalidArgument leaves *degrees untouched; a paged
+  /// I/O or corruption error empties it.
   Status DegreeBatch(std::span<const NodeId> nodes,
                      std::vector<uint64_t>* degrees,
                      BatchScratch* scratch) const;

@@ -50,7 +50,6 @@ StatusOr<ShardedGraph> ShardedGraph::Build(const graph::Graph& g,
   dist::CoordinatorOptions coordinate;
   coordinate.pool =
       options.parallel_dispatch ? sharded.pool_.get() : nullptr;
-  coordinate.shard_time_budget_seconds = options.shard_time_budget_seconds;
   coordinate.allow_degraded = options.allow_degraded;
   sharded.coordinator_ = std::make_unique<dist::Coordinator>(
       std::move(epoch).value(), coordinate);

@@ -65,7 +65,6 @@ struct ShardedOptions {
   bool parallel_dispatch = true;
 
   /// Forwarded to the coordinator (see dist::CoordinatorOptions).
-  double shard_time_budget_seconds = 0.0;
   bool allow_degraded = false;
 
   /// Offline-run hooks, fanned in across shards.

@@ -34,8 +34,6 @@ class MemoTable {
   /// Rough memory footprint of the cache, for the §III-B3 size claim.
   size_t ApproxBytes() const;
 
-  void Clear() { cache_.clear(); }
-
  private:
   static uint64_t PackKey(const Universe& universe, const int8_t* target);
 

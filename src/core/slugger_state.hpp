@@ -64,9 +64,6 @@ class SluggerState {
     return v != nullptr ? *v : 0;
   }
 
-  /// Cost_A(G) = Cost_H + Cost_P for one root (paper Eq. 6).
-  uint64_t RootCost(SupernodeId root) const { return h_[root] + inc_[root]; }
-
   /// Adds superedge {x, y} with aggregate maintenance.
   void AddEdge(SupernodeId x, SupernodeId y, EdgeSign sign);
 
@@ -84,8 +81,9 @@ class SluggerState {
   /// net change on M with ShiftWithin / ShiftBetween.
   SupernodeId MergeRoots(SupernodeId a, SupernodeId b);
 
-  /// Sum of RootCost over all roots minus double-counted inter-tree edges:
-  /// equals Cost(G) (used by tests to validate the aggregates).
+  /// Sum of HCost + IncCost over all roots (each root's Cost_H + Cost_P,
+  /// paper Eq. 6) minus double-counted inter-tree edges: equals Cost(G)
+  /// (used by tests to validate the aggregates).
   uint64_t TotalCostFromAggregates() const;
 
   /// Exhaustive consistency check of aggregates, of the root adjacency

@@ -13,7 +13,7 @@ namespace slugger::dist {
 
 namespace {
 
-// Fan-out health of the scatter-gather tier. Slow/degraded/failed are
+// Fan-out health of the scatter-gather tier. Degraded/failed batches are
 // counted unconditionally — a caller that passes no GatherStats still
 // shows up on the dashboard.
 struct CoordObs {
@@ -22,9 +22,6 @@ struct CoordObs {
   obs::Counter* subqueries = obs::MetricsRegistry::Global().GetCounter(
       "slugger_coord_subqueries_total",
       "per-shard sub-batch entries dispatched");
-  obs::Counter* slow_shards = obs::MetricsRegistry::Global().GetCounter(
-      "slugger_coord_slow_shards_total",
-      "shard dispatches over the configured time budget");
   obs::Counter* degraded_batches = obs::MetricsRegistry::Global().GetCounter(
       "slugger_coord_degraded_batches_total",
       "batches served with at least one failed shard (allow_degraded)");
@@ -134,7 +131,6 @@ namespace {
 struct ShardAnswer {
   Status status;
   summary::BatchResult result;
-  std::vector<uint64_t> degrees;
   double seconds = 0.0;
 };
 
@@ -160,11 +156,9 @@ GatherScratch& ThreadLocalGatherScratch() {
 
 }  // namespace
 
-template <bool kDegreesOnly>
-Status Coordinator::RunScatterGather(std::span<const NodeId> nodes,
-                                     summary::BatchResult* out,
-                                     std::vector<uint64_t>* degrees,
-                                     GatherStats* stats) const {
+Status Coordinator::NeighborsBatch(std::span<const NodeId> nodes,
+                                   BatchResult* out,
+                                   GatherStats* stats) const {
   std::shared_ptr<const ServingEpoch> epoch = this->epoch();
   if (epoch == nullptr) return status();
   const ShardManifest& manifest = *epoch->manifest;
@@ -183,7 +177,7 @@ Status Coordinator::RunScatterGather(std::span<const NodeId> nodes,
 
   // Scatter: route each position to the shards that can contribute.
   // Isolated nodes route nowhere and fall out of the stitch as empty
-  // answers / zero degrees, exactly like the single box.
+  // answers, exactly like the single box.
   const uint32_t num_shards = manifest.num_shards();
   GatherScratch& scratch = ThreadLocalGatherScratch();
   scratch.positions.resize(num_shards);
@@ -231,8 +225,6 @@ Status Coordinator::RunScatterGather(std::span<const NodeId> nodes,
     if (snap == nullptr) {
       a.status = Status::NotFound("shard " + std::to_string(s) +
                                   " has no published snapshot");
-    } else if constexpr (kDegreesOnly) {
-      a.status = snap->DegreeBatch(sub_nodes[s], &a.degrees);
     } else {
       a.status = snap->NeighborsBatch(sub_nodes[s], &a.result);
     }
@@ -248,19 +240,15 @@ Status Coordinator::RunScatterGather(std::span<const NodeId> nodes,
     for (uint32_t s : active) dispatch_one(s);
   }
 
-  // Account the fan-out and collect casualties before stitching. Budget
-  // and failure accounting always reaches the registry, whether or not
-  // the caller asked for GatherStats.
+  // Account the fan-out and collect casualties before stitching. Failure
+  // accounting always reaches the registry, whether or not the caller
+  // asked for GatherStats.
   Status first_failure;
   uint32_t first_failed_shard = 0;
   for (uint32_t s : active) {
     const ShardAnswer& a = answers[s];
-    const bool over_budget = options_.shard_time_budget_seconds > 0 &&
-                             a.seconds > options_.shard_time_budget_seconds;
-    if (over_budget) obs.slow_shards->Add(1);
     if (stats != nullptr) {
       stats->max_shard_seconds = std::max(stats->max_shard_seconds, a.seconds);
-      if (over_budget) ++stats->slow_shards;
     }
     if (!a.status.ok()) {
       if (stats != nullptr) stats->degraded.emplace_back(s, a.status);
@@ -282,83 +270,68 @@ Status Coordinator::RunScatterGather(std::span<const NodeId> nodes,
     }
   }
   if (!first_failure.ok() && !options_.allow_degraded) {
-    if constexpr (kDegreesOnly) {
-      degrees->clear();
-    } else {
-      out->neighbors.clear();
-      out->offsets.clear();
-    }
+    out->neighbors.clear();
+    out->offsets.clear();
     return Status::IOError("shard " + std::to_string(first_failed_shard) +
                            " failed: " + first_failure.ToString());
   }
 
   // Gather: per-shard contributions are disjoint (one owner per edge),
-  // so degrees add and neighbor lists concatenate; the final ascending
-  // sort per position is what makes the output canonical and
-  // byte-comparable to a single box regardless of shard count.
+  // so neighbor lists concatenate; the final ascending sort per position
+  // is what makes the output canonical and byte-comparable to a single
+  // box regardless of shard count.
   WallTimer stitch_timer;
-  if constexpr (kDegreesOnly) {
-    degrees->assign(batch, 0);
+  out->offsets.assign(batch + 1, 0);
+  for (uint32_t s : active) {
+    const ShardAnswer& a = answers[s];
+    if (!a.status.ok()) continue;
+    for (size_t k = 0; k < a.result.size(); ++k) {
+      out->offsets[positions[s][k] + 1] += a.result[k].size();
+    }
+  }
+  for (size_t i = 0; i < batch; ++i) {
+    out->offsets[i + 1] += out->offsets[i];
+  }
+  out->neighbors.resize(out->offsets[batch]);
+  std::vector<uint64_t>& cursor = scratch.cursor;
+  cursor.assign(out->offsets.begin(), out->offsets.end() - 1);
+  // Each range of positions copies its sub-answers into place (a
+  // shard's positions ascend, so they are one run of its entries) and
+  // sorts every list ascending. Dispatch leaves sub-answers in the
+  // shards' emission order (different summaries emit in different
+  // orders, so sorting there would still need a re-sort at boundary
+  // positions; paying once here is strictly less work). Each
+  // kListSortGrain positions are one radix sort of (position, id) tags
+  // on the id bits, scattered back by position. Ranges write disjoint
+  // slices of out->neighbors and cursor, so they ride the pool, one
+  // task each, when one is available.
+  const auto id_bits =
+      static_cast<unsigned>(std::bit_width(manifest.num_nodes() - 1u));
+  const auto stitch_range = [&](uint64_t begin, uint64_t end,
+                                unsigned worker) {
     for (uint32_t s : active) {
       const ShardAnswer& a = answers[s];
       if (!a.status.ok()) continue;
-      for (size_t k = 0; k < a.degrees.size(); ++k) {
-        (*degrees)[positions[s][k]] += a.degrees[k];
+      const std::vector<uint32_t>& at = positions[s];
+      size_t k = static_cast<size_t>(
+          std::lower_bound(at.begin(), at.end(), begin) - at.begin());
+      for (; k < at.size() && at[k] < end; ++k) {
+        const std::span<const NodeId> src = a.result[k];
+        std::copy(src.begin(), src.end(),
+                  out->neighbors.begin() + cursor[at[k]]);
+        cursor[at[k]] += src.size();
       }
     }
+    RadixSortLists(out->offsets, out->neighbors, begin, end, id_bits,
+                   &scratch.sort[worker]);
+  };
+  const bool pooled = options_.pool != nullptr &&
+                      options_.pool->size() > 1 && batch > 512;
+  scratch.sort.resize(pooled ? options_.pool->size() : 1);
+  if (pooled) {
+    options_.pool->ParallelFor(batch, kListSortGrain, stitch_range);
   } else {
-    out->offsets.assign(batch + 1, 0);
-    for (uint32_t s : active) {
-      const ShardAnswer& a = answers[s];
-      if (!a.status.ok()) continue;
-      for (size_t k = 0; k < a.result.size(); ++k) {
-        out->offsets[positions[s][k] + 1] += a.result[k].size();
-      }
-    }
-    for (size_t i = 0; i < batch; ++i) {
-      out->offsets[i + 1] += out->offsets[i];
-    }
-    out->neighbors.resize(out->offsets[batch]);
-    std::vector<uint64_t>& cursor = scratch.cursor;
-    cursor.assign(out->offsets.begin(), out->offsets.end() - 1);
-    // Each range of positions copies its sub-answers into place (a
-    // shard's positions ascend, so they are one run of its entries) and
-    // sorts every list ascending. Dispatch leaves sub-answers in the
-    // shards' emission order (different summaries emit in different
-    // orders, so sorting there would still need a re-sort at boundary
-    // positions; paying once here is strictly less work). Each
-    // kListSortGrain positions are one radix sort of (position, id) tags
-    // on the id bits, scattered back by position. Ranges write disjoint
-    // slices of out->neighbors and cursor, so they ride the pool, one
-    // task each, when one is available.
-    const auto id_bits =
-        static_cast<unsigned>(std::bit_width(manifest.num_nodes() - 1u));
-    const auto stitch_range = [&](uint64_t begin, uint64_t end,
-                                  unsigned worker) {
-      for (uint32_t s : active) {
-        const ShardAnswer& a = answers[s];
-        if (!a.status.ok()) continue;
-        const std::vector<uint32_t>& at = positions[s];
-        size_t k = static_cast<size_t>(
-            std::lower_bound(at.begin(), at.end(), begin) - at.begin());
-        for (; k < at.size() && at[k] < end; ++k) {
-          const std::span<const NodeId> src = a.result[k];
-          std::copy(src.begin(), src.end(),
-                    out->neighbors.begin() + cursor[at[k]]);
-          cursor[at[k]] += src.size();
-        }
-      }
-      RadixSortLists(out->offsets, out->neighbors, begin, end, id_bits,
-                     &scratch.sort[worker]);
-    };
-    const bool pooled = options_.pool != nullptr &&
-                        options_.pool->size() > 1 && batch > 512;
-    scratch.sort.resize(pooled ? options_.pool->size() : 1);
-    if (pooled) {
-      options_.pool->ParallelFor(batch, kListSortGrain, stitch_range);
-    } else {
-      stitch_range(0, batch, 0);
-    }
+    stitch_range(0, batch, 0);
   }
   const double stitch_seconds = stitch_timer.Seconds();
   obs.stitch_seconds->Observe(stitch_seconds);
@@ -366,16 +339,17 @@ Status Coordinator::RunScatterGather(std::span<const NodeId> nodes,
   return Status::OK();
 }
 
-Status Coordinator::NeighborsBatch(std::span<const NodeId> nodes,
-                                   BatchResult* out,
-                                   GatherStats* stats) const {
-  return RunScatterGather<false>(nodes, out, nullptr, stats);
-}
-
 Status Coordinator::DegreeBatch(std::span<const NodeId> nodes,
                                 std::vector<uint64_t>* degrees,
                                 GatherStats* stats) const {
-  return RunScatterGather<true>(nodes, nullptr, degrees, stats);
+  thread_local BatchResult lists;
+  Status served = NeighborsBatch(nodes, &lists, stats);
+  // NeighborsBatch leaves its output untouched only when it rejects the
+  // batch or has no epoch (both InvalidArgument); a shard failure comes
+  // back as IOError with the lists emptied, and so the degrees.
+  if (served.code() == Status::Code::kInvalidArgument) return served;
+  summary::ListSizes(lists, degrees);
+  return served;
 }
 
 }  // namespace slugger::dist

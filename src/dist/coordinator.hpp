@@ -10,7 +10,7 @@
 // offsets, and each neighbor list sorted ascending (the canonical
 // serving order; per-shard contributions are disjoint because every
 // edge is owned by exactly one shard, so the stitch is a merge, never a
-// dedup). Degrees are summed across the shards a boundary node touches.
+// dedup). A degree is the size of the stitched list.
 //
 // Consistency across swaps: a batch reads one ServingEpoch (manifest +
 // registries) grabbed atomically at entry. Shard-local republish into a
@@ -63,11 +63,6 @@ struct CoordinatorOptions {
   /// also the only mode safe for concurrent batch callers.
   ThreadPool* pool = nullptr;
 
-  /// Per-shard wall-time budget; a shard exceeding it is counted in
-  /// GatherStats::slow_shards (accounting, not enforcement — in-process
-  /// dispatch has no transport to abandon). 0 disables the accounting.
-  double shard_time_budget_seconds = 0.0;
-
   /// false (default): the first failing shard fails the whole batch
   /// with its Status. true: failing shards contribute empty answers,
   /// the batch succeeds, and GatherStats::degraded names the casualties
@@ -79,7 +74,6 @@ struct CoordinatorOptions {
 struct GatherStats {
   uint32_t shards_dispatched = 0;  ///< shards with a non-empty sub-batch
   uint64_t subqueries = 0;         ///< summed sub-batch sizes (fan-out cost)
-  uint32_t slow_shards = 0;        ///< shards over the time budget
   double max_shard_seconds = 0.0;  ///< slowest shard's dispatch time
   double stitch_seconds = 0.0;     ///< gather + reorder + sort time
   std::vector<std::pair<uint32_t, Status>> degraded;  ///< shard -> failure
@@ -127,8 +121,10 @@ class Coordinator {
   Status NeighborsBatch(std::span<const NodeId> nodes, BatchResult* out,
                         GatherStats* stats = nullptr) const;
 
-  /// Scatter-gather DegreeBatch under the same contract; a boundary
-  /// node's degree is the sum of its per-shard degrees.
+  /// Scatter-gather DegreeBatch under the same contract: degrees->at(i)
+  /// is the size of nodes[i]'s stitched list, counted off a
+  /// NeighborsBatch into a list buffer this thread keeps. InvalidArgument
+  /// leaves *degrees untouched; a strict-mode shard failure empties it.
   Status DegreeBatch(std::span<const NodeId> nodes,
                      std::vector<uint64_t>* degrees,
                      GatherStats* stats = nullptr) const;
@@ -143,12 +139,6 @@ class Coordinator {
 
  private:
   Status ValidateEpoch(const ServingEpoch& epoch) const;
-
-  template <bool kDegreesOnly>
-  Status RunScatterGather(std::span<const NodeId> nodes,
-                          summary::BatchResult* out,
-                          std::vector<uint64_t>* degrees,
-                          GatherStats* stats) const;
 
   CoordinatorOptions options_;
   mutable Mutex epoch_mu_;

@@ -89,21 +89,6 @@ class RecordCursor {
   PageRef page_;
 };
 
-/// The batch walk with this thread's chain buffer: its handles point into
-/// records the call may own, so they are dropped after every batch; its
-/// capacity stays (no allocation once warm).
-template <bool kDegreesOnly, typename Records>
-Status WalkPagedBatch(const Records& records, std::span<const NodeId> nodes,
-                      summary::BatchResult* result,
-                      std::vector<uint64_t>* degrees,
-                      summary::BatchScratch* scratch) {
-  thread_local std::vector<typename Records::Handle> chains;
-  Status status = summary::WalkBatch<kDegreesOnly>(records, nodes, result,
-                                                   degrees, scratch, &chains);
-  chains.clear();
-  return status;
-}
-
 Status FullPread(int fd, uint8_t* out, size_t n, uint64_t off,
                  const std::string& what) {
   size_t got = 0;
@@ -553,33 +538,21 @@ class PagedSummarySource::Records {
 Status PagedSummarySource::Neighbors(
     NodeId v, summary::QueryScratch* scratch,
     std::span<const summary::NeighborOverride> overrides) const {
-  return summary::WalkQuery<false>(Records(this), v, scratch, overrides,
-                                   nullptr);
-}
-
-StatusOr<uint64_t> PagedSummarySource::Degree(
-    NodeId v, summary::QueryScratch* scratch,
-    std::span<const summary::NeighborOverride> overrides) const {
-  uint64_t degree = 0;
-  Status s =
-      summary::WalkQuery<true>(Records(this), v, scratch, overrides, &degree);
-  if (!s.ok()) return s;
-  return degree;
+  return summary::WalkQuery(Records(this), v, scratch, overrides);
 }
 
 Status PagedSummarySource::NeighborsBatch(std::span<const NodeId> nodes,
                                           summary::BatchResult* result,
                                           summary::BatchScratch* scratch)
     const {
-  return WalkPagedBatch<false>(Records(this), nodes, result, nullptr,
-                               scratch);
-}
-
-Status PagedSummarySource::DegreeBatch(std::span<const NodeId> nodes,
-                                       std::vector<uint64_t>* degrees,
-                                       summary::BatchScratch* scratch) const {
-  return WalkPagedBatch<true>(Records(this), nodes, nullptr, degrees,
-                              scratch);
+  // This thread's chain buffer: its handles point into records the call
+  // may own, so they are dropped after every batch; its capacity stays
+  // (no allocation once warm).
+  thread_local std::vector<Records::Handle> chains;
+  Status status =
+      summary::WalkBatch(Records(this), nodes, result, scratch, &chains);
+  chains.clear();
+  return status;
 }
 
 StatusOr<ChainInfo> PagedSummarySource::ChainOf(NodeId v) const {

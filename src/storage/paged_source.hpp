@@ -16,7 +16,8 @@
 //
 // Queries instantiate the one Algorithm-4 walk (summary/coverage_walk.hpp)
 // over the records, chain reuse and duplicate copy included; neighbor
-// lists come out in coverage order, unspecified as in memory.
+// lists come out in coverage order, unspecified as in memory. There is
+// no degree query: a degree is a neighbor list's size.
 //
 // Records are parsed once, with every bound check, into the walk's
 // fixed-width layout (summary/cover_layout.hpp) and published in a
@@ -108,10 +109,6 @@ class PagedSummarySource {
                    std::span<const summary::NeighborOverride> overrides = {})
       const;
 
-  StatusOr<uint64_t> Degree(
-      NodeId v, summary::QueryScratch* scratch,
-      std::span<const summary::NeighborOverride> overrides = {}) const;
-
   /// summary::QueryNeighborsBatch off the pages: processed in file
   /// preorder, so consecutive nodes share record pages and ancestor
   /// coverage. On error the result is emptied and the scratch stays
@@ -119,10 +116,6 @@ class PagedSummarySource {
   Status NeighborsBatch(std::span<const NodeId> nodes,
                         summary::BatchResult* result,
                         summary::BatchScratch* scratch) const;
-
-  Status DegreeBatch(std::span<const NodeId> nodes,
-                     std::vector<uint64_t>* degrees,
-                     summary::BatchScratch* scratch) const;
 
   /// Rebuilds the full in-memory summary from the record stream, with
   /// the v1 deserializer's structural validation (bottom-up children,

@@ -11,12 +11,10 @@
 // a file is in — v1 files written by older builds keep loading through
 // the same call. Mode selects how a v2 file is served:
 //
-//   kAuto      v2 files open paged, v1 files load in memory (default)
+//   kAuto      v2 files open paged, v1 files load in memory (default;
+//              the monolithic format has no page structure to serve from)
 //   kInMemory  always materialize (v2 files are fully validated up
 //              front, like a v1 load)
-//   kPaged     like kAuto; v1 files still load in memory, because the
-//              monolithic format has no page structure to serve from —
-//              documented back-compat, not an error.
 //
 // All parsing treats the file as untrusted: malformed input surfaces as
 // InvalidArgument/Corruption, never a crash.
@@ -49,7 +47,6 @@ struct OpenOptions {
   enum class Mode {
     kAuto,      ///< v2 paged, v1 in-memory
     kInMemory,  ///< always materialize
-    kPaged,     ///< v2 paged; v1 falls back to in-memory
   };
   Mode mode = Mode::kAuto;
   /// Read-path knobs of a paged open (ignored for v1 files), as in

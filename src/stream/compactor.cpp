@@ -4,6 +4,7 @@
 #include <utility>
 #include <vector>
 
+#include "summary/cover_layout.hpp"
 #include "summary/neighbor_query.hpp"
 #include "summary/summary_graph.hpp"
 #include "util/timer.hpp"
@@ -99,6 +100,12 @@ StatusOr<CompressedGraph> Compactor::TryFold(const CompressedGraph& base,
                                              const EdgeOverlay& overlay,
                                              const CancelToken* cancel) const {
   summary::SummaryGraph folded = base.summary();  // deep copy
+  // Coverage is read off the base's layout while the copy is rewritten.
+  // That is exact: group u rewrites only leaf pairs {u, v} with u < v, so
+  // a later group w > u sees the rewrite only as count[u] in its walk,
+  // and it reads count[x] for x > w alone. Within a group each pair is
+  // read once, from the pass taken before any of its rewrites.
+  const summary::CoverLayout layout(base.summary());
   summary::QueryScratch scratch;
   const std::vector<Correction> corrections = SortedCorrections(overlay);
 
@@ -107,10 +114,8 @@ StatusOr<CompressedGraph> Compactor::TryFold(const CompressedGraph& base,
     if (IsCancelled(cancel)) return Status::Aborted("compaction cancelled");
     const NodeId u = corrections[i].u;
     // One coverage pass answers every corrected pair {u, *} of the group.
-    summary::AccumulateCoverage(folded, u, &scratch);
-    // Resolve the group, then restore the scratch invariant — mutations
-    // touch only leaf pairs {u, v} of THIS group, which later groups
-    // (all with larger smaller-endpoints) never read again.
+    summary::AccumulateCoverage(layout, u, &scratch);
+    // Resolve the group, then restore the scratch invariant.
     Status verdict = Status::OK();
     for (; i < corrections.size() && corrections[i].u == u; ++i) {
       const NodeId v = corrections[i].v;

@@ -55,13 +55,6 @@ void EdgeOverlay::EraseCorrection(NodeId u, NodeId v) {
   EraseDirected(v, u);
 }
 
-std::vector<NodeId> EdgeOverlay::DirtyNodes() const {
-  std::vector<NodeId> nodes;
-  nodes.reserve(deltas_.size());
-  for (const auto& [node, list] : deltas_) nodes.push_back(node);
-  return nodes;
-}
-
 graph::Graph ApplyOverlay(const graph::Graph& base,
                           const EdgeOverlay& overlay) {
   std::unordered_set<uint64_t> removed;

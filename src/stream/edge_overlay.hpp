@@ -132,9 +132,6 @@ class EdgeOverlay {
   /// set whose size decides localized folding vs. a global rebuild.
   size_t dirty_node_count() const { return deltas_.size(); }
 
-  /// The dirty nodes, in unspecified order.
-  std::vector<NodeId> DirtyNodes() const;
-
  private:
   void SetCorrection(NodeId u, NodeId v, EdgeSign sign);
   void EraseCorrection(NodeId u, NodeId v);

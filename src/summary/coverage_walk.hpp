@@ -9,13 +9,12 @@
 //   ForEachCovered(node, fn)    fn(u, sign) per leaf u node's edges cover
 //   ForEachRank(nodes, fn)      fn(i, leaf-preorder rank of nodes[i]);
 //                               only the batch walk needs it
-// The backends that serve queries read one fixed-width record layout
+// Both record sources read one fixed-width record layout
 // (summary/cover_layout.hpp), so ForEachCovered is a leaf_at scan per
 // edge: neighbor_query.cpp instantiates the walk over an in-memory
-// CoverLayout (and, for single queries on a bare SummaryGraph, over the
-// summary's own hierarchy), storage/paged_source.cpp over the records of
-// a paged v2 file. All emit each neighbor list in coverage order, which
-// is unspecified.
+// CoverLayout, storage/paged_source.cpp over the records of a paged v2
+// file. Its one output is the neighbor list, in coverage order, which is
+// unspecified; a degree is that list's size.
 #ifndef SLUGGER_SUMMARY_COVERAGE_WALK_HPP_
 #define SLUGGER_SUMMARY_COVERAGE_WALK_HPP_
 
@@ -75,14 +74,12 @@ Status WalkCoverage(const Records& records, NodeId v, QueryScratch* q) {
       });
 }
 
-/// One node's neighbors into q->result, or (kDegreesOnly) their count
-/// into *degree, with `overrides` applied; an override naming a leaf
-/// outside the summary names no pair of it and is skipped. On error
-/// q->result is empty and the scratch is zeroed.
-template <bool kDegreesOnly, typename Records>
+/// One node's neighbors into q->result, with `overrides` applied; an
+/// override naming a leaf outside the summary names no pair of it and is
+/// skipped. On error q->result is empty and the scratch is zeroed.
+template <typename Records>
 Status WalkQuery(const Records& records, NodeId v, QueryScratch* q,
-                 std::span<const NeighborOverride> overrides,
-                 uint64_t* degree) {
+                 std::span<const NeighborOverride> overrides) {
   q->result.clear();
   Status status = WalkCoverage(records, v, q);
   if (!status.ok()) {
@@ -96,30 +93,25 @@ Status WalkQuery(const Records& records, NodeId v, QueryScratch* q,
     if (q->count[o.neighbor] == 0) q->touched.push_back(o.neighbor);
     q->count[o.neighbor] = o.sign > 0 ? kForcedCoverage : -kForcedCoverage;
   }
-  uint64_t found = 0;
   for (NodeId u : q->touched) {
-    if (q->count[u] > 0 && u != v) {
-      if constexpr (kDegreesOnly) {
-        ++found;
-      } else {
-        q->result.push_back(u);
-      }
-    }
+    if (q->count[u] > 0 && u != v) q->result.push_back(u);
     q->count[u] = 0;
   }
   q->touched.clear();
-  if constexpr (kDegreesOnly) *degree = found;
   return Status::OK();
 }
 
 /// Fills s->order with the batch positions sorted by hierarchy locality
 /// and *chains with the root-first ancestor chains in that processing
 /// order, offsets in s->chain_begin. A node equal to its predecessor in
-/// the order gets an empty chain; the batch copies its answer.
+/// the order gets an empty chain; the batch copies its answer. Kept out
+/// of line, as CoverAncestor is, so WalkBatch's node loop compiles as it
+/// did while two walk modes shared this function; with one caller per
+/// record source the compiler would inline it.
 template <typename Records>
-Status WalkBatchOrder(const Records& records, std::span<const NodeId> nodes,
-                      BatchScratch* s,
-                      std::vector<typename Records::Handle>* chains) {
+[[gnu::noinline]] Status WalkBatchOrder(
+    const Records& records, std::span<const NodeId> nodes, BatchScratch* s,
+    std::vector<typename Records::Handle>* chains) {
   const size_t batch = nodes.size();
   for (NodeId v : nodes) {
     if (v >= records.num_leaves()) return NodeOutOfRange(v);
@@ -184,31 +176,22 @@ template <typename Records>
 }
 
 /// The batch pass (see QueryNeighborsBatch): neighbor lists into *result
-/// in input order, or (kDegreesOnly) degrees into *degrees. `chains` is
-/// the backend's buffer of ancestor handles. On error *result / *degrees
-/// are emptied and the scratch is zeroed, so it serves on as if fresh.
-template <bool kDegreesOnly, typename Records>
+/// in input order. `chains` is the backend's buffer of ancestor handles.
+/// On error *result is emptied and the scratch is zeroed, so it serves on
+/// as if fresh.
+template <typename Records>
 Status WalkBatch(const Records& records, std::span<const NodeId> nodes,
-                 BatchResult* result, std::vector<uint64_t>* degrees,
-                 BatchScratch* s,
+                 BatchResult* result, BatchScratch* s,
                  std::vector<typename Records::Handle>* chains) {
   const size_t batch = nodes.size();
-  if constexpr (kDegreesOnly) {
-    degrees->assign(batch, 0);
-  } else {
-    result->neighbors.clear();
-    result->offsets.assign(batch + 1, 0);
-  }
+  result->neighbors.clear();
+  result->offsets.assign(batch + 1, 0);
   if (batch == 0) return Status::OK();
   QueryScratch& q = s->query;
   const auto fail = [&](Status status) {
     ClearCoverage(&q, &s->in_touched);
-    if constexpr (kDegreesOnly) {
-      degrees->clear();
-    } else {
-      result->neighbors.clear();
-      result->offsets.clear();
-    }
+    result->neighbors.clear();
+    result->offsets.clear();
     return status;
   };
   Status ordered = WalkBatchOrder(records, nodes, s, chains);
@@ -216,10 +199,8 @@ Status WalkBatch(const Records& records, std::span<const NodeId> nodes,
   const NodeId n = records.num_leaves();
   if (q.count.size() < n) q.count.resize(n, 0);
   if (s->in_touched.size() < n) s->in_touched.resize(n, 0);
-  if constexpr (!kDegreesOnly) {
-    s->staged.clear();
-    s->staged_begin.assign(1, 0);
-  }
+  s->staged.clear();
+  s->staged_begin.assign(1, 0);
 
   // The applied coverage is the chain (*chains)[applied_b, applied_b +
   // applied) of the previous node, when the peek kept it; `common` is
@@ -237,17 +218,13 @@ Status WalkBatch(const Records& records, std::span<const NodeId> nodes,
     // serving batches.
     if (k > 0 && nodes[s->order[k - 1]] == v) {
       ++obs_dup;
-      if constexpr (kDegreesOnly) {
-        (*degrees)[i] = (*degrees)[s->order[k - 1]];
-      } else {
-        const uint64_t prev_b = s->staged_begin[k - 1];
-        const uint64_t prev_e = s->staged_begin[k];
-        const size_t old_size = s->staged.size();
-        s->staged.resize(old_size + (prev_e - prev_b));
-        std::copy(s->staged.begin() + prev_b, s->staged.begin() + prev_e,
-                  s->staged.begin() + old_size);
-        s->staged_begin.push_back(s->staged.size());
-      }
+      const uint64_t prev_b = s->staged_begin[k - 1];
+      const uint64_t prev_e = s->staged_begin[k];
+      const size_t old_size = s->staged.size();
+      s->staged.resize(old_size + (prev_e - prev_b));
+      std::copy(s->staged.begin() + prev_b, s->staged.begin() + prev_e,
+                s->staged.begin() + old_size);
+      s->staged_begin.push_back(s->staged.size());
       continue;
     }
 
@@ -289,7 +266,6 @@ Status WalkBatch(const Records& records, std::span<const NodeId> nodes,
 
     // Extract positive-net leaves. Two loops, not one with a branch on
     // keep_applied: the merged loop measured slower on the in-memory walk.
-    uint64_t degree = 0;
     if (keep_applied) {
       ++obs_reuse;
       // Compact away entries whose coverage cancelled back to zero, so
@@ -303,26 +279,14 @@ Status WalkBatch(const Records& records, std::span<const NodeId> nodes,
           continue;
         }
         q.touched[w++] = u;
-        if (c > 0 && u != v) {
-          if constexpr (kDegreesOnly) {
-            ++degree;
-          } else {
-            s->staged.push_back(u);
-          }
-        }
+        if (c > 0 && u != v) s->staged.push_back(u);
       }
       q.touched.resize(w);
       common = next_common;
     } else {
       ++obs_reset;
       for (const NodeId u : q.touched) {
-        if (q.count[u] > 0 && u != v) {
-          if constexpr (kDegreesOnly) {
-            ++degree;
-          } else {
-            s->staged.push_back(u);
-          }
-        }
+        if (q.count[u] > 0 && u != v) s->staged.push_back(u);
         q.count[u] = 0;
         s->in_touched[u] = 0;
       }
@@ -330,30 +294,24 @@ Status WalkBatch(const Records& records, std::span<const NodeId> nodes,
       applied = 0;
       common = 0;
     }
-    if constexpr (kDegreesOnly) {
-      (*degrees)[i] = degree;
-    } else {
-      s->staged_begin.push_back(s->staged.size());
-    }
+    s->staged_begin.push_back(s->staged.size());
   }
   assert(q.touched.empty());  // the last peek finds no successor: reset
   RecordBatchWalk(obs_reuse, obs_reset, obs_dup);
 
-  if constexpr (!kDegreesOnly) {
-    // Staged answers are in processing order; emit them in input order.
-    for (size_t k = 0; k < batch; ++k) {
-      result->offsets[s->order[k] + 1] =
-          s->staged_begin[k + 1] - s->staged_begin[k];
-    }
-    for (size_t i = 0; i < batch; ++i) {
-      result->offsets[i + 1] += result->offsets[i];
-    }
-    result->neighbors.resize(s->staged.size());
-    for (size_t k = 0; k < batch; ++k) {
-      std::copy(s->staged.begin() + s->staged_begin[k],
-                s->staged.begin() + s->staged_begin[k + 1],
-                result->neighbors.begin() + result->offsets[s->order[k]]);
-    }
+  // Staged answers are in processing order; emit them in input order.
+  for (size_t k = 0; k < batch; ++k) {
+    result->offsets[s->order[k] + 1] =
+        s->staged_begin[k + 1] - s->staged_begin[k];
+  }
+  for (size_t i = 0; i < batch; ++i) {
+    result->offsets[i + 1] += result->offsets[i];
+  }
+  result->neighbors.resize(s->staged.size());
+  for (size_t k = 0; k < batch; ++k) {
+    std::copy(s->staged.begin() + s->staged_begin[k],
+              s->staged.begin() + s->staged_begin[k + 1],
+              result->neighbors.begin() + result->offsets[s->order[k]]);
   }
   return Status::OK();
 }

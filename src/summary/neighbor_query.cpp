@@ -9,42 +9,6 @@ namespace slugger::summary {
 
 namespace {
 
-/// The walk's view of a bare SummaryGraph: parent pointers, and endpoint
-/// leaves expanded on the caller's traversal stack (so concurrent walks
-/// with distinct scratches are race-free).
-class SummaryRecords {
- public:
-  using Handle = SupernodeId;
-
-  SummaryRecords(const SummaryGraph& summary, std::vector<SupernodeId>* stack)
-      : summary_(summary), stack_(stack) {}
-
-  NodeId num_leaves() const { return summary_.num_leaves(); }
-
-  template <typename Fn>
-  Status ForEachAncestor(NodeId v, Fn&& fn) const {
-    const HierarchyForest& forest = summary_.forest();
-    for (SupernodeId node = v; node != kInvalidId; node = forest.Parent(node)) {
-      Status s = fn(SupernodeId{node});
-      if (!s.ok()) return s;
-    }
-    return Status::OK();
-  }
-
-  template <typename Fn>
-  Status ForEachCovered(SupernodeId node, Fn&& fn) const {
-    const HierarchyForest& forest = summary_.forest();
-    summary_.ForEachEdgeOf(node, [&](SupernodeId other, EdgeSign sign) {
-      forest.ForEachLeafWith(stack_, other, [&](NodeId u) { fn(u, sign); });
-    });
-    return Status::OK();
-  }
-
- private:
-  const SummaryGraph& summary_;
-  std::vector<SupernodeId>* stack_;
-};
-
 /// The walk's view of a CoverLayout: parents from the record headers, and
 /// each edge's endpoint leaves as one contiguous leaf_at run.
 class LayoutRecords {
@@ -114,66 +78,23 @@ void RecordBatchWalk(uint64_t reuse, uint64_t reset, uint64_t dup) {
   if (dup != 0) dup_hits->Add(dup);
 }
 
-void AccumulateCoverage(const SummaryGraph& summary, NodeId v,
+void AccumulateCoverage(const CoverLayout& layout, NodeId v,
                         QueryScratch* scratch) {
-  ExpectWalked(
-      WalkCoverage(SummaryRecords(summary, &scratch->stack), v, scratch));
-}
-
-const std::vector<NodeId>& QueryNeighbors(const SummaryGraph& summary,
-                                          NodeId v, QueryScratch* scratch) {
-  return QueryNeighbors(summary, v, scratch, {});
-}
-
-size_t QueryDegree(const SummaryGraph& summary, NodeId v,
-                   QueryScratch* scratch) {
-  return QueryDegree(summary, v, scratch, {});
-}
-
-const std::vector<NodeId>& QueryNeighbors(
-    const SummaryGraph& summary, NodeId v, QueryScratch* scratch,
-    std::span<const NeighborOverride> overrides) {
-  ExpectWalked(WalkQuery<false>(SummaryRecords(summary, &scratch->stack), v,
-                                scratch, overrides, nullptr));
-  return scratch->result;
-}
-
-size_t QueryDegree(const SummaryGraph& summary, NodeId v,
-                   QueryScratch* scratch,
-                   std::span<const NeighborOverride> overrides) {
-  uint64_t degree = 0;
-  ExpectWalked(WalkQuery<true>(SummaryRecords(summary, &scratch->stack), v,
-                               scratch, overrides, &degree));
-  return static_cast<size_t>(degree);
+  ExpectWalked(WalkCoverage(LayoutRecords(layout), v, scratch));
 }
 
 const std::vector<NodeId>& QueryNeighbors(
     const CoverLayout& layout, NodeId v, QueryScratch* scratch,
     std::span<const NeighborOverride> overrides) {
-  ExpectWalked(WalkQuery<false>(LayoutRecords(layout), v, scratch, overrides,
-                                nullptr));
+  ExpectWalked(WalkQuery(LayoutRecords(layout), v, scratch, overrides));
   return scratch->result;
-}
-
-size_t QueryDegree(const CoverLayout& layout, NodeId v, QueryScratch* scratch,
-                   std::span<const NeighborOverride> overrides) {
-  uint64_t degree = 0;
-  ExpectWalked(WalkQuery<true>(LayoutRecords(layout), v, scratch, overrides,
-                               &degree));
-  return static_cast<size_t>(degree);
 }
 
 void QueryNeighborsBatch(const CoverLayout& layout,
                          std::span<const NodeId> nodes, BatchResult* result,
                          BatchScratch* scratch) {
-  ExpectWalked(WalkBatch<false>(LayoutRecords(layout), nodes, result, nullptr,
-                                scratch, &scratch->chains));
-}
-
-void QueryDegreeBatch(const CoverLayout& layout, std::span<const NodeId> nodes,
-                      std::vector<uint64_t>* degrees, BatchScratch* scratch) {
-  ExpectWalked(WalkBatch<true>(LayoutRecords(layout), nodes, nullptr, degrees,
-                               scratch, &scratch->chains));
+  ExpectWalked(
+      WalkBatch(LayoutRecords(layout), nodes, result, scratch, &scratch->chains));
 }
 
 }  // namespace slugger::summary

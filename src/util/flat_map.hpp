@@ -158,14 +158,6 @@ class FlatMap32 {
     }
   }
 
-  /// Invokes fn(key, value&) for every entry; values may be mutated.
-  template <typename Fn>
-  void ForEachMutable(Fn&& fn) {
-    for (Slot& s : slots_) {
-      if (s.key != kEmpty) fn(s.key, s.value);
-    }
-  }
-
   size_t capacity() const { return slots_.size(); }
 
  private:

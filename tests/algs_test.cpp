@@ -48,7 +48,7 @@ class AlgsOnSummary : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(AlgsOnSummary, BfsDistancesMatch) {
   Instance inst = MakeInstance(GetParam());
   for (NodeId start : {NodeId{0}, inst.g.num_nodes() / 2}) {
-    EXPECT_EQ(BfsOnGraph(inst.g, start), BfsOnSummary(inst.summary, start));
+    EXPECT_EQ(BfsOnGraph(inst.g, start), BfsOnHierarchy(inst.summary, start));
   }
 }
 
@@ -65,7 +65,7 @@ TEST_P(AlgsOnSummary, DfsVisitsSameComponent) {
 TEST_P(AlgsOnSummary, PageRankMatches) {
   Instance inst = MakeInstance(GetParam());
   auto raw = PageRankOnGraph(inst.g, 0.85, 20);
-  auto cmp = PageRankOnSummary(inst.summary, 0.85, 20);
+  auto cmp = PageRankOnHierarchy(inst.summary, 0.85, 20);
   ASSERT_EQ(raw.size(), cmp.size());
   for (size_t i = 0; i < raw.size(); ++i) {
     // The hierarchy-native path runs the same recurrence but sums block
@@ -116,7 +116,7 @@ TEST_P(AlgsOnSummary, DijkstraMatchesAndEqualsBfs) {
 
 TEST_P(AlgsOnSummary, TriangleCountsMatch) {
   Instance inst = MakeInstance(GetParam());
-  EXPECT_EQ(TrianglesOnGraph(inst.g), TrianglesOnSummary(inst.summary));
+  EXPECT_EQ(TrianglesOnGraph(inst.g), TrianglesOnHierarchy(inst.summary));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AlgsOnSummary,

@@ -819,7 +819,6 @@ TEST(QueryErrors, PagedIoFailuresAreCountedAndLastStatusSet) {
   ASSERT_TRUE(storage::Save(cg, path, {}).ok());
 
   storage::OpenOptions open;
-  open.mode = storage::OpenOptions::Mode::kPaged;
   // The pread backend turns a truncated file into plain read errors;
   // mmap would SIGBUS on a fault past the new EOF.
   open.buffer.io = storage::Io::kPread;

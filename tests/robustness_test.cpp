@@ -149,9 +149,10 @@ TEST(Invariants, NeighborQueryMatchesDecodeOnRealSummaries) {
     core::SluggerResult r = core::Summarize(g, config);
     graph::Graph decoded = summary::Decode(r.summary);
     ASSERT_EQ(decoded, g);
+    const summary::CoverLayout layout(r.summary);
     summary::QueryScratch scratch;
     for (NodeId u = 0; u < g.num_nodes(); ++u) {
-      std::vector<NodeId> got = summary::QueryNeighbors(r.summary, u, &scratch);
+      std::vector<NodeId> got = summary::QueryNeighbors(layout, u, &scratch);
       std::sort(got.begin(), got.end());
       auto want = g.Neighbors(u);
       ASSERT_EQ(got.size(), want.size()) << "node " << u;

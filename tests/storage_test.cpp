@@ -287,8 +287,7 @@ TEST(StorageApi, V1FilesOpenThroughTheSameEntryPoint) {
   EXPECT_EQ(bytes.value(), summary::SerializeSummary(cg.summary()));
 
   for (auto mode : {storage::OpenOptions::Mode::kAuto,
-                    storage::OpenOptions::Mode::kInMemory,
-                    storage::OpenOptions::Mode::kPaged}) {
+                    storage::OpenOptions::Mode::kInMemory}) {
     storage::OpenOptions options;
     options.mode = mode;
     StatusOr<CompressedGraph> opened = storage::Open(path, options);

@@ -308,9 +308,10 @@ TEST(NeighborQuery, MatchesDecodeOnRandomSummaries) {
     // hierarchy: merge nodes (2i, 2i+1) and re-encode nothing (identity).
     for (NodeId u = 0; u + 1 < 12; u += 2) s.Merge(u, u + 1);
     graph::Graph decoded = Decode(s);
+    const CoverLayout layout(s);
     QueryScratch scratch;
     for (NodeId u = 0; u < g.num_nodes(); ++u) {
-      std::vector<NodeId> got = QueryNeighbors(s, u, &scratch);
+      std::vector<NodeId> got = QueryNeighbors(layout, u, &scratch);
       std::sort(got.begin(), got.end());
       auto want = decoded.Neighbors(u);
       ASSERT_EQ(got.size(), want.size()) << "node " << u;
@@ -325,10 +326,11 @@ TEST(NeighborQuery, HierarchicalCancellation) {
   SupernodeId x = s.Merge(s.Merge(0, 1), y);
   s.AddEdge(x, 5, +1);
   s.AddEdge(y, 5, -1);
+  const CoverLayout layout(s);
   QueryScratch scratch;
-  EXPECT_EQ(QueryDegree(s, 0, &scratch), 1u);
-  EXPECT_EQ(QueryDegree(s, 2, &scratch), 0u);
-  std::vector<NodeId> n5 = QueryNeighbors(s, 5, &scratch);
+  EXPECT_EQ(QueryNeighbors(layout, 0, &scratch).size(), 1u);
+  EXPECT_EQ(QueryNeighbors(layout, 2, &scratch).size(), 0u);
+  std::vector<NodeId> n5 = QueryNeighbors(layout, 5, &scratch);
   std::sort(n5.begin(), n5.end());
   EXPECT_EQ(n5, (std::vector<NodeId>{0, 1}));
 }
